@@ -13,11 +13,11 @@
                      perf trajectory; nothing else is printed)
      --macro M       macro for --json: comparator (default) or scaled
      --bits N        size of the scaled macro: 2^N ladder taps (default 8)
-     --scaling       emit the PR-10 scaling study as one JSON object:
-                     per-N raw-solve table (dense vs rank1 vs auto vs
-                     auto+shared) plus pipeline evaluate-stage A/Bs on
-                     the n=37 comparator (quick) and the large-N scaled
-                     ADC; nothing else is printed
+     --scaling       emit the scaling study as one JSON object (schema
+                     dotest-bench/9): per-N raw-solve table (oracle vs
+                     auto vs auto+shared) plus pipeline evaluate-stage
+                     A/Bs on the n=37 comparator (quick) and the large-N
+                     scaled ADC; nothing else is printed
      --serve-stress  stand up an in-process dotest service on a Unix
                      socket, hammer it with concurrent clients mixing
                      warm and cold request keys, and emit one JSON object
@@ -28,8 +28,8 @@
      --deadline S    wall-clock budget per fault-class simulation attempt
      --deadline-iterations N
                      Newton-iteration budget per attempt (deterministic)
-     --solver B      linear-solver backend: dense | rank1 | auto (default
-                     auto); all backends produce identical tables          *)
+     --solver P      solver policy: auto | oracle (default auto); both
+                     produce identical tables                              *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let serve_stress = Array.exists (( = ) "--serve-stress") Sys.argv
@@ -84,7 +84,7 @@ let solver =
     else if Sys.argv.(i) = "--solver" then
       match Circuit.Engine.solver_of_string Sys.argv.(i + 1) with
       | Some s -> s
-      | None -> failwith "--solver expects dense, rank1 or auto"
+      | None -> failwith "--solver expects auto or oracle"
     else scan (i + 1)
   in
   scan 1
@@ -94,8 +94,8 @@ let bench_bits =
   | Some b when b >= 2 && b <= 14 -> b
   | Some _ -> failwith "--bits expects an integer in 2..14"
   (* --scaling targets the regime where per-iteration factorization
-     dominates per-class fixed costs; below ~1000 unknowns the dense
-     backend hides behind warm-started two-iteration Newton runs. Full
+     dominates per-class fixed costs; below ~1000 unknowns the oracle
+     hides behind warm-started two-iteration Newton runs. Full
      mode goes one size further out, where the n³ term is unambiguous. *)
   | None -> if scaling_mode then (if quick then 10 else 11) else 8
 
@@ -549,7 +549,7 @@ let parallel_scaling () =
    emitted metrics through Core.Codec, the library's single JSON surface;
    schema 4 added the result-cache counters and schema 5 the "survival"
    object (deadline budgets and the deadline-expiry counter); schema 6
-   adds the "solver" object — the selected backend plus the engine's
+   adds the "solver" object — the selected solver policy plus the engine's
    factorization-reuse counters (factorizations, rank1_solves,
    jacobian_bypass, rank1_fallbacks), pulled from the same deterministic
    counter totals as "metrics"; schema 8 adds macro selection (--macro
@@ -697,15 +697,15 @@ let json_run () =
   print_endline (Util.Json.to_string json)
 
 (* ------------------------------------------------------------------ *)
-(* PR-10 scaling study (--scaling)                                      *)
+(* Scaling study (--scaling)                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Raw-solve sweep: for each size, solve a batch of near-miss-bridge
-   variants of the generated ADC cold under every backend, then once
-   more under auto with a shared-nominal context installed (one skeleton
-   derivation amortized over the whole batch + warm starts). This is the
-   per-class solve pattern of the evaluate stage, isolated from
-   sprinkling and classification, so the dense-vs-banded-vs-shared
+   variants of the generated ADC cold under both solver policies, then
+   once more under auto with a shared-nominal context installed (one
+   skeleton derivation amortized over the whole batch + warm starts).
+   This is the per-class solve pattern of the evaluate stage, isolated
+   from sprinkling and classification, so the oracle-vs-auto-vs-shared
    crossover is directly visible per N. *)
 let scaling_variants = 12
 
@@ -750,20 +750,20 @@ let timed_batch ?shared solver variants =
       "newton_iterations", Util.Json.Int iterations;
     ]
 
-(* Dense refactors every Newton iteration: past this size one sweep row
-   alone would take minutes, so dense is measured only up to here and
-   reported null above it (noted in the row, not silently dropped). *)
-let dense_max_n = 1200
+(* The oracle refactors densely every Newton iteration: past this size
+   one sweep row alone would take minutes, so the oracle is measured
+   only up to here and reported null above it (noted in the row, not
+   silently dropped). *)
+let oracle_max_n = 1200
 
 let scaling_row bits =
   let nominal, variants = scaling_netlists bits in
   let n = Circuit.Netlist.node_count nominal + 2 in
   let sn = Circuit.Engine.shared_nominal ~strip:Fault.Inject.is_fault_device () in
-  let dense =
-    if n <= dense_max_n then timed_batch Circuit.Engine.Dense variants
+  let oracle =
+    if n <= oracle_max_n then timed_batch Circuit.Engine.Oracle variants
     else Util.Json.Null
   in
-  let rank1 = timed_batch Circuit.Engine.Rank1 variants in
   let auto = timed_batch Circuit.Engine.Auto variants in
   let auto_shared = timed_batch ~shared:sn Circuit.Engine.Auto variants in
   Format.eprintf "scaling: bits=%d n=%d done@." bits n;
@@ -771,9 +771,8 @@ let scaling_row bits =
     [
       "bits", Util.Json.Int bits;
       "n_unknowns", Util.Json.Int n;
-      "dense", dense;
-      "dense_skipped", Util.Json.Bool (n > dense_max_n);
-      "rank1", rank1;
+      "oracle", oracle;
+      "oracle_skipped", Util.Json.Bool (n > oracle_max_n);
       "auto", auto;
       "auto_shared", auto_shared;
     ]
@@ -812,16 +811,16 @@ let pipeline_measure config macro solver =
 
 let pipeline_ab config macro =
   ignore (Lazy.force macro.Macro.Macro_cell.cell);
-  let dense_s, dense = pipeline_measure config macro Circuit.Engine.Dense in
+  let oracle_s, oracle = pipeline_measure config macro Circuit.Engine.Oracle in
   let auto_s, auto = pipeline_measure config macro Circuit.Engine.Auto in
   Util.Json.Obj
     [
       "macro", Util.Json.String macro.Macro.Macro_cell.name;
       "defects", Util.Json.Int config.Core.Pipeline.Config.defects;
-      "dense", dense;
+      "oracle", oracle;
       "auto", auto;
-      ( "evaluate_speedup_auto_vs_dense",
-        if auto_s > 0.0 then Util.Json.Float (dense_s /. auto_s)
+      ( "evaluate_speedup_auto_vs_oracle",
+        if auto_s > 0.0 then Util.Json.Float (oracle_s /. auto_s)
         else Util.Json.Null );
     ]
 
@@ -848,7 +847,7 @@ let scaling_run () =
   let json =
     Util.Json.Obj
       [
-        "schema", Util.Json.String "dotest-bench/8";
+        "schema", Util.Json.String "dotest-bench/9";
         "mode", Util.Json.String "scaling";
         "jobs", Util.Json.Int jobs;
         "quick", Util.Json.Bool quick;

@@ -81,23 +81,22 @@ let sprinkle_chunk =
            result-cache key.")
 
 let solver_arg =
-  let backends =
+  let policies =
     List.map
       (fun s -> Circuit.Engine.solver_name s, s)
       Circuit.Engine.all_solvers
   in
   Arg.(
     value
-    & opt (enum backends) Circuit.Engine.default_solver
-    & info [ "solver" ] ~docv:"BACKEND"
+    & opt (enum policies) Circuit.Engine.default_solver
+    & info [ "solver" ] ~docv:"POLICY"
         ~doc:
-          "Linear-solver backend: $(b,auto) (default) reuses factorizations \
+          "Solver policy: $(b,auto) (default) reuses factorizations \
            across Newton iterations and fault classes with rank-1 updates \
            and picks a banded kernel when the circuit structure warrants \
-           it; $(b,rank1) is the same without the banded kernel; \
-           $(b,dense) is the historical re-factor-every-iteration \
-           reference path for bisecting solver regressions. All backends \
-           print identical tables.")
+           it; $(b,oracle) re-assembles and re-factors densely on every \
+           Newton iteration, the reference path for bisecting solver \
+           regressions. Both print identical tables.")
 
 let strict =
   Arg.(
@@ -409,8 +408,8 @@ let scaled_cmd =
           ~doc:
             "Converter resolution: the analog core has $(b,2^B) ladder \
              segments, about $(b,2^B + 3) circuit unknowns (2..14). Sizes \
-             past ~10 bits are where the dense reference backend's n³ \
-             factorization cost separates from $(b,--solver auto).")
+             past ~10 bits are where the oracle's dense n³ factorization \
+             cost separates from $(b,--solver auto).")
   in
   Cmd.v
     (Cmd.info "scaled"

@@ -3,8 +3,8 @@
    neighbouring tap. The netlist grows as 2^bits unknowns while keeping
    chain-local connectivity (tridiagonal-plus-gm structure), so it is the
    workload where the banded kernel and the cross-class shared-nominal
-   factorization separate from the dense reference — the n³ term the
-   37-node comparator is too small to expose. The measure procedure is a
+   factorization separate from the oracle's dense re-factoring — the n³
+   term the 37-node comparator is too small to expose. The measure procedure is a
    single DC operating point, so per-class cost is dominated by exactly
    the solves the shared-nominal path accelerates. *)
 

@@ -61,20 +61,18 @@ let with_options_override options f =
 
 (* --- solver selection -------------------------------------------------- *)
 
-type solver = Dense | Rank1 | Auto
+type solver = Auto | Oracle
 
 let solver_name = function
-  | Dense -> "dense"
-  | Rank1 -> "rank1"
   | Auto -> "auto"
+  | Oracle -> "oracle"
 
 let solver_of_string = function
-  | "dense" -> Some Dense
-  | "rank1" -> Some Rank1
   | "auto" -> Some Auto
+  | "oracle" -> Some Oracle
   | _ -> None
 
-let all_solvers = [ Dense; Rank1; Auto ]
+let all_solvers = [ Auto; Oracle ]
 let default_solver = Auto
 
 (* A separate key from [options_override]: the retry layer re-installs
@@ -192,10 +190,6 @@ let stamp_conductance a g n1 n2 =
     a.(idx n2).(idx n1) <- a.(idx n2).(idx n1) -. g
   end
 
-let stamp_current rhs value ~into ~out_of =
-  if into <> 0 then rhs.(idx into) <- rhs.(idx into) +. value;
-  if out_of <> 0 then rhs.(idx out_of) <- rhs.(idx out_of) -. value
-
 (* voltage at a node from the current guess *)
 let v_of x node = if node = 0 then 0.0 else x.(idx node)
 
@@ -203,68 +197,9 @@ type stamp_mode =
   | Dc_mode
   | Transient_mode of { h : float; x_prev : float array }
 
-(* Build A·x_new = rhs linearized around guess [x]. [alpha] scales the
-   independent sources (source stepping). *)
-let build ~options ~mode ~alpha ~t compiled x a rhs =
-  let n = compiled.n_unknowns in
-  for i = 0 to n - 1 do
-    rhs.(i) <- 0.0;
-    let row = a.(i) in
-    Array.fill row 0 n 0.0
-  done;
-  (* gmin shunts keep floating nodes (opens) solvable. *)
-  for node = 1 to compiled.n_nodes do
-    a.(idx node).(idx node) <- a.(idx node).(idx node) +. options.gmin
-  done;
-  let stamp_device = function
-    | CResistor (n1, n2, r) -> stamp_conductance a (1.0 /. r) n1 n2
-    | CCapacitor (n1, n2, c) ->
-      (match mode with
-      | Dc_mode -> () (* open in DC *)
-      | Transient_mode { h; x_prev } ->
-        (* Backward-Euler companion: geq in parallel with a current source
-           reproducing the charge history. *)
-        let geq = c /. h in
-        stamp_conductance a geq n1 n2;
-        let v_prev = v_of x_prev n1 -. v_of x_prev n2 in
-        stamp_current rhs (geq *. v_prev) ~into:n1 ~out_of:n2)
-    | CVsource { pos; neg; wave; branch } ->
-      let value = alpha *. Waveform.value wave t in
-      if pos <> 0 then begin
-        a.(idx pos).(branch) <- a.(idx pos).(branch) +. 1.0;
-        a.(branch).(idx pos) <- a.(branch).(idx pos) +. 1.0
-      end;
-      if neg <> 0 then begin
-        a.(idx neg).(branch) <- a.(idx neg).(branch) -. 1.0;
-        a.(branch).(idx neg) <- a.(branch).(idx neg) -. 1.0
-      end;
-      rhs.(branch) <- value
-    | CIsource { pos; neg; wave } ->
-      let value = alpha *. Waveform.value wave t in
-      stamp_current rhs value ~into:pos ~out_of:neg
-    | CMosfet { d; g; s; spec } ->
-      let vgs = v_of x g -. v_of x s in
-      let vds = v_of x d -. v_of x s in
-      let op =
-        Mos_model.evaluate ~polarity:spec.polarity ~params:spec.params
-          ~w:spec.w ~l:spec.l ~vgs ~vds
-      in
-      (* Linearize: id ≈ gm·vgs + gds·vds + ieq. *)
-      let ieq = op.id -. (op.gm *. vgs) -. (op.gds *. vds) in
-      let add r c v = if r <> 0 && c <> 0 then a.(idx r).(idx c) <- a.(idx r).(idx c) +. v in
-      add d d op.gds;
-      add d g op.gm;
-      add d s (-.(op.gm +. op.gds));
-      add s d (-.op.gds);
-      add s g (-.op.gm);
-      add s s (op.gm +. op.gds);
-      stamp_current rhs ieq ~into:s ~out_of:d
-  in
-  List.iter stamp_device compiled.cdevices
+(* --- solver state and factorization reuse ------------------------------- *)
 
-(* --- factorization reuse (rank1/auto backends) ------------------------- *)
-
-(* The fast backends keep one mutable solver state per analysis and reuse
+(* Every analysis keeps one mutable solver state and, under [Auto], reuses
    the LU factorization across Newton iterations, transient steps, and
    stepping-fallback stages. Only MOSFET stamps can change the matrix
    between solves at a fixed (gmin, h) — sources and capacitor history
@@ -275,7 +210,7 @@ let build ~options ~mode ~alpha ~t compiled x a rhs =
    - nothing moved beyond tolerance: reuse the factorization as-is
      (Jacobian bypass; the chord iteration converges to the same
      nonlinear solution because ieq is built against the *baked* gm/gds,
-     see [build_rhs_reuse]);
+     see [build_rhs]);
    - a few devices moved: fold each stamp delta in as two Sherman-
      Morrison rank-1 updates, dgds·(e_d−e_s)(e_d−e_s)ᵀ +
      dgm·(e_d−e_s)(e_g−e_s)ᵀ — an exact decomposition of the stamp;
@@ -283,13 +218,18 @@ let build ~options ~mode ~alpha ~t compiled x a rhs =
      denominator tripped the singularity guard: re-factor from scratch.
 
    Every decision is a pure function of device values, never of timing,
-   so runs are deterministic at any job count. *)
+   so runs are deterministic at any job count.
+
+   [Oracle] runs the same state with every shortcut switched off: no
+   RCM permutation, and a fresh assembly and factorization on every
+   iteration — the reference the reuse decisions are checked against. *)
 
 type rmos = { md : int; mg : int; ms : int; mspec : Netlist.mosfet_spec }
 
 type rstate = {
   rn : int;
   rcompiled : compiled;
+  roracle : bool;              (* re-factor every iteration, no reuse *)
   rpermute : int array option;
   rmos : rmos array;
   rconst : float array array;  (* linear-device part of A at (gmin, h) *)
@@ -328,8 +268,6 @@ type rstate = {
   pc_c : float array;
 }
 
-type backend = Dense_backend | Reuse_backend of rstate
-
 (* Off-diagonal structure of the MNA matrix, as graph edges over the
    unknowns (0-based); feeds the RCM ordering. *)
 let adjacency compiled =
@@ -358,8 +296,9 @@ let auto_permutation compiled =
     if 4 * (bw + 1) <= n then Some perm else None
   end
 
-let make_rstate ?permute compiled =
+let make_rstate ~oracle compiled =
   let n = compiled.n_unknowns in
+  let permute = if oracle then None else auto_permutation compiled in
   let rmos =
     List.filter_map
       (function
@@ -371,7 +310,7 @@ let make_rstate ?permute compiled =
   let nm = Array.length rmos in
   (* Pack the stamp plan. Within each device class the packing preserves
      netlist order, so the plan is a pure function of the compiled
-     netlist and every backend decision stays deterministic. *)
+     netlist and every reuse decision stays deterministic. *)
   let vsources =
     List.filter_map
       (function CVsource { branch; wave; _ } -> Some (branch, wave) | _ -> None)
@@ -390,6 +329,7 @@ let make_rstate ?permute compiled =
   {
     rn = n;
     rcompiled = compiled;
+    roracle = oracle;
     rpermute = permute;
     rmos;
     rconst = Linear.matrix n;
@@ -435,11 +375,7 @@ let make_rstate ?permute compiled =
     pc_c = Array.of_list (List.map (fun (_, _, c) -> c) caps);
   }
 
-let make_backend compiled =
-  match current_solver () with
-  | Dense -> Dense_backend
-  | Rank1 -> Reuse_backend (make_rstate compiled)
-  | Auto -> Reuse_backend (make_rstate ?permute:(auto_permutation compiled) compiled)
+let make_state compiled = make_rstate ~oracle:(current_solver () = Oracle) compiled
 
 let rebuild_const state ~gmin ~h =
   let a = state.rconst in
@@ -471,6 +407,10 @@ let rebuild_const state ~gmin ~h =
   state.rconst_ok <- true;
   state.rfactor <- None
 
+let ensure_const state ~gmin ~h =
+  if not (state.rconst_ok && state.rconst_gmin = gmin && state.rconst_h = h)
+  then rebuild_const state ~gmin ~h
+
 (* Batched model evaluation through the stamp plan: one pass fills the
    bias scratch, one [Mos_model.evaluate_packed] call produces all
    linearizations. Bit-identical to per-device [Mos_model.evaluate]
@@ -493,7 +433,9 @@ let eval_mosfets state x =
     ~beta:state.pm_beta ~lambda:state.pm_lambda ~vgs ~vds ~id:state.rcur_id
     ~gm:state.rcur_gm ~gds:state.rcur_gds
 
-let refactor state =
+(* The full Jacobian at the current linearization, into [rfull]: the
+   linear part at (gmin, h) plus every MOSFET's gm/gds stamp. *)
+let assemble state =
   let n = state.rn in
   let a = state.rfull in
   for i = 0 to n - 1 do
@@ -511,8 +453,11 @@ let refactor state =
       add m.ms m.md (-.gds);
       add m.ms m.mg (-.gm);
       add m.ms m.ms (gm +. gds))
-    state.rmos;
-  match Linear.Factor.factor ?permute:state.rpermute a with
+    state.rmos
+
+let refactor state =
+  assemble state;
+  match Linear.Factor.factor ?permute:state.rpermute state.rfull with
   | exception Linear.Singular ->
     state.rfactor <- None;
     false
@@ -528,7 +473,7 @@ let refactor state =
    The tolerance trades factorization reuse against chord-iteration
    convergence rate (contraction ~ the staleness fraction); it does not
    affect the converged solution (see the consistency argument at
-   [build_rhs_reuse]), so it can be far looser than the Newton reltol.
+   [build_rhs]), so it can be far looser than the Newton reltol.
    10% keeps quiescent stretches of a transient on the bypass path while
    the input ramp drifts the pair's gm by well under a percent per step;
    converged KCL error stays at the Newton tolerance regardless. *)
@@ -585,6 +530,7 @@ let apply_mos_updates state f changed =
 let ensure_factor state =
   match state.rfactor with
   | None -> refactor state
+  | Some _ when state.roracle -> refactor state
   | Some f ->
     let changed = ref [] in
     let n_changed = ref 0 in
@@ -625,17 +571,16 @@ let ensure_factor state =
    leaving exactly KCL with the exact device current id(x) — the same
    nonlinear solution full Newton converges to, independent of how stale
    the factorization is. *)
-let build_rhs_reuse state ~mode ~alpha ~t x =
-  ignore x;
+let build_rhs state ~mode ~alpha ~t =
   let rhs = state.rrhs in
   Array.fill rhs 0 state.rn 0.0;
   (* The plan groups stamps by device class (each class in netlist
      order); accumulation into a shared node may therefore round
-     differently from the dense path's interleaved order, in the same
-     ulp-level sense in which the chord iteration already differs — the
-     converged solution is unchanged and classified tables stay
-     byte-identical across backends (enforced by CI's dense-vs-auto
-     diff). *)
+     differently from an interleaved netlist-order assembly, in the same
+     ulp-level sense in which the chord iteration already differs from
+     full Newton — the converged solution is unchanged and classified
+     tables stay byte-identical across solver policies (enforced by CI's
+     oracle-vs-auto diff). *)
   (match mode with
   | Dc_mode -> ()
   | Transient_mode { h; x_prev } ->
@@ -687,11 +632,13 @@ let build_rhs_reuse state ~mode ~alpha ~t x =
 
 (* --- Newton-Raphson --------------------------------------------------- *)
 
-let newton_dense ~options ~mode ~alpha ~t compiled x0 =
+(* Newton against the persistent solver state: the linear solve goes
+   through [ensure_factor] (bypass / rank-1 chain / re-factor). *)
+let newton ~state ~options ~mode ~alpha ~t compiled x0 =
   let n = compiled.n_unknowns in
   let x = Array.copy x0 in
-  let a = Linear.matrix n in
-  let rhs = Array.make n 0.0 in
+  let h = match mode with Dc_mode -> 0.0 | Transient_mode { h; _ } -> h in
+  ensure_const state ~gmin:options.gmin ~h;
   let rec iterate remaining =
     if remaining = 0 then None
     else begin
@@ -700,64 +647,16 @@ let newton_dense ~options ~mode ~alpha ~t compiled x0 =
          (gmin/source stepping included) — a deadline is a budget for the
          whole solve, not for one Newton attempt. *)
       Util.Watchdog.tick ();
-      build ~options ~mode ~alpha ~t compiled x a rhs;
-      match Linear.solve a rhs with
-      | exception Linear.Singular -> None
-      | x_new -> begin
-        (* Damp voltage updates; branch currents move freely. *)
-        let converged = ref true in
-        for i = 0 to n - 1 do
-          let target = x_new.(i) in
-          let delta = target -. x.(i) in
-          let is_voltage = i < compiled.n_nodes in
-          let applied =
-            if is_voltage && Float.abs delta > options.max_step_voltage then begin
-              converged := false;
-              x.(i) +. (if delta > 0. then options.max_step_voltage else -.options.max_step_voltage)
-            end
-            else target
-          in
-          let tol =
-            if is_voltage then options.vntol +. (options.reltol *. Float.abs applied)
-            else options.abstol +. (options.reltol *. Float.abs applied)
-          in
-          if Float.abs (applied -. x.(i)) > tol then converged := false;
-          x.(i) <- applied
-        done;
-        if !converged then Some (x, options.max_iterations - remaining + 1)
-        else iterate (remaining - 1)
-      end
-    end
-  in
-  iterate options.max_iterations
-
-
-(* Newton against the persistent-factorization state: identical damping
-   and convergence tests to [newton_dense], but the linear solve goes
-   through [ensure_factor] (bypass / rank-1 chain / re-factor). *)
-let newton_reuse ~state ~options ~mode ~alpha ~t compiled x0 =
-  let n = compiled.n_unknowns in
-  let x = Array.copy x0 in
-  let h = match mode with Dc_mode -> 0.0 | Transient_mode { h; _ } -> h in
-  if
-    not
-      (state.rconst_ok
-      && state.rconst_gmin = options.gmin
-      && state.rconst_h = h)
-  then rebuild_const state ~gmin:options.gmin ~h;
-  let rec iterate remaining =
-    if remaining = 0 then None
-    else begin
-      Util.Watchdog.tick ();
       eval_mosfets state x;
       if not (ensure_factor state) then None
       else begin
-        build_rhs_reuse state ~mode ~alpha ~t x;
+        build_rhs state ~mode ~alpha ~t;
         let x_new =
           match state.rfactor with
           | Some f -> Linear.Factor.solve_factored f state.rrhs
           | None -> assert false
         in
+        (* Damp voltage updates; branch currents move freely. *)
         let converged = ref true in
         for i = 0 to n - 1 do
           let target = x_new.(i) in
@@ -786,17 +685,12 @@ let newton_reuse ~state ~options ~mode ~alpha ~t compiled x0 =
   in
   iterate options.max_iterations
 
-let newton ~backend ~options ~mode ~alpha ~t compiled x0 =
-  match backend with
-  | Dense_backend -> newton_dense ~options ~mode ~alpha ~t compiled x0
-  | Reuse_backend state -> newton_reuse ~state ~options ~mode ~alpha ~t compiled x0
-
 (* Solve one point, recording how many Newton iterations were spent and
    which convergence aid finally succeeded. *)
-let solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what =
+let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
   let spent = ref 0 in
   let try_newton ~options ~alpha x =
-    match newton ~backend ~options ~mode ~alpha ~t compiled x with
+    match newton ~state ~options ~mode ~alpha ~t compiled x with
     | Some (x', used) ->
       spent := !spent + used;
       Some x'
@@ -848,8 +742,8 @@ let solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what =
         Util.Telemetry.count "engine.no_convergence";
         raise (No_convergence what)))
 
-let solve_point ~backend ~options ~mode ~t compiled x0 ~what =
-  fst (solve_point_diag ~backend ~options ~mode ~t compiled x0 ~what)
+let solve_point ~state ~options ~mode ~t compiled x0 ~what =
+  fst (solve_point_diag ~state ~options ~mode ~t compiled x0 ~what)
 
 (* --- cross-class shared nominal factorization --------------------------- *)
 
@@ -872,7 +766,7 @@ let solve_point ~backend ~options ~mode ~t compiled x0 ~what =
 
    Soundness: the seeded factorization equals the faulty linear part plus
    MOSFET stamps at the recorded reference linearization exactly, so the
-   chord-iteration argument at [build_rhs_reuse] applies unchanged — the
+   chord-iteration argument at [build_rhs] applies unchanged — the
    converged solution is the faulty circuit's own, independent of the
    seed. A cache hit and a fresh derivation produce the same entry (the
    derivation is a pure function of skeleton and options), so results are
@@ -995,22 +889,16 @@ let sn_derive ~options stripped =
   Util.Telemetry.silenced @@ fun () ->
   Util.Watchdog.unmetered @@ fun () ->
   let compiled = compile stripped in
-  let state = make_rstate ?permute:(auto_permutation compiled) compiled in
-  let backend = Reuse_backend state in
+  let state = make_rstate ~oracle:false compiled in
   match
-    solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled
+    solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled
       (Array.make compiled.n_unknowns 0.0)
       ~what:"shared nominal derivation"
   with
   | exception No_convergence _ -> None
   | exception Linear.Singular -> None
   | x ->
-    if
-      not
-        (state.rconst_ok
-        && state.rconst_gmin = options.gmin
-        && state.rconst_h = 0.0)
-    then rebuild_const state ~gmin:options.gmin ~h:0.0;
+    ensure_const state ~gmin:options.gmin ~h:0.0;
     eval_mosfets state x;
     if refactor state then
       Some
@@ -1040,17 +928,17 @@ let sn_entry sn ~options ~stamps netlist =
     entry
 
 (* Attempt to seed the analysis's first DC solve from the shared nominal
-   context. The warm start is part of the *analysis semantics*: every
-   backend — dense included — starts Newton from the same derived
-   nominal operating point (the derivation is solver-independent, so the
-   vector is bitwise identical across backends and the cross-backend
-   table-identity contract is preserved; a reuse-only warm start would
-   let the seeded path resolve classes the dense reference cannot, and
-   the tables would diverge). Factor seeding on top of that is a
-   reuse-backend acceleration only. Every decision here is a pure
-   function of (netlist, options), so hit/miss/fallback counters are
-   deterministic per fault class. *)
-let try_shared_seed ~netlist ~options compiled backend =
+   context. The warm start is part of the *analysis semantics*: both
+   solver policies — oracle included — start Newton from the same
+   derived nominal operating point (the derivation is solver-independent,
+   so the vector is bitwise identical under either policy and the
+   table-identity contract is preserved; an auto-only warm start would
+   let the seeded path resolve classes the oracle cannot, and the tables
+   would diverge). Factor seeding on top of that is an [Auto]
+   acceleration only. Every decision here is a pure function of
+   (netlist, options), so hit/miss/fallback counters are deterministic
+   per fault class. *)
+let try_shared_seed ~netlist ~options compiled state =
   match Domain.DLS.get sn_override with
   | None -> None
   | Some sn ->
@@ -1087,18 +975,12 @@ let try_shared_seed ~netlist ~options compiled backend =
                      0 compiled.cdevices ->
         (* Same strip predicate but a different structure: stale or
            colliding context entry. The check is against the compiled
-           netlist (not backend state) so every backend makes the
+           netlist (not solver state) so both policies make the
            identical cold-start decision. *)
         Util.Telemetry.count "engine.shared_nominal_misses";
         None
       | Some entry ->
-        let warm () =
-          Util.Telemetry.count "engine.shared_nominal_hits";
-          Some (Array.copy entry.e_x)
-        in
-        (match backend with
-        | Dense_backend -> warm ()
-        | Reuse_backend state ->
+        if not state.roracle then begin
           let conductance (dv : Netlist.device_view) =
             match dv.kind with
             | Netlist.Resistor r -> 1.0 /. r
@@ -1120,19 +1002,20 @@ let try_shared_seed ~netlist ~options compiled backend =
                 | Some f -> chain f rest
               end
           in
-          (match chain entry.e_factor stamps with
+          match chain entry.e_factor stamps with
           | None ->
             (* The stamp chain tripped the singularity guard: keep the
-               warm start (it is backend-independent), drop only the
+               warm start (it is solver-independent), drop only the
                factor seed — the first iteration re-factors fresh. *)
-            Util.Telemetry.count "engine.shared_nominal_fallbacks";
-            warm ()
+            Util.Telemetry.count "engine.shared_nominal_fallbacks"
           | Some f ->
             rebuild_const state ~gmin:options.gmin ~h:0.0;
             state.rfactor <- Some f;
             Array.blit entry.e_ref_gm 0 state.rref_gm 0 entry.e_nmos;
-            Array.blit entry.e_ref_gds 0 state.rref_gds 0 entry.e_nmos;
-            warm ()))
+            Array.blit entry.e_ref_gds 0 state.rref_gds 0 entry.e_nmos
+        end;
+        Util.Telemetry.count "engine.shared_nominal_hits";
+        Some (Array.copy entry.e_x)
     end
 
 (* --- public analyses --------------------------------------------------- *)
@@ -1143,14 +1026,14 @@ let make_solution compiled ~t x =
 let dc_operating_point_diag ?options netlist =
   let options = resolve_options options in
   let compiled = compile netlist in
-  let backend = make_backend compiled in
+  let state = make_state compiled in
   let x0 =
-    match try_shared_seed ~netlist ~options compiled backend with
+    match try_shared_seed ~netlist ~options compiled state with
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
   let x, diag =
-    solve_point_diag ~backend ~options ~mode:Dc_mode ~t:0.0 compiled x0
+    solve_point_diag ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
       ~what:"dc operating point"
   in
   make_solution compiled ~t:0.0 x, diag
@@ -1158,37 +1041,38 @@ let dc_operating_point_diag ?options netlist =
 let dc_operating_point ?options netlist =
   fst (dc_operating_point_diag ?options netlist)
 
-(* Diagnostic: the dense DC MNA matrix linearized at [x]. Exposed so
-   tests can check structural invariants (e.g. that a stamp-expressible
-   fault perturbs the nominal matrix by rank ≤ 2); not a hot path. *)
+(* Diagnostic: the dense DC MNA matrix linearized at [x], assembled by
+   the same stamping the solver factors. Exposed so tests can check
+   structural invariants (e.g. that a stamp-expressible fault perturbs
+   the nominal matrix by rank ≤ 2); not a hot path. *)
 let dense_jacobian ?options netlist ~x =
   let options = resolve_options options in
   let compiled = compile netlist in
-  let n = compiled.n_unknowns in
-  if Array.length x <> n then
+  if Array.length x <> compiled.n_unknowns then
     invalid_arg "Engine.dense_jacobian: x has the wrong length";
-  let a = Linear.matrix n in
-  let rhs = Array.make n 0.0 in
-  build ~options ~mode:Dc_mode ~alpha:1.0 ~t:0.0 compiled x a rhs;
-  a
+  let state = make_rstate ~oracle:true compiled in
+  rebuild_const state ~gmin:options.gmin ~h:0.0;
+  eval_mosfets state x;
+  assemble state;
+  Array.map Array.copy state.rfull
 
 let transient_diag ?options netlist ~stop ~step =
   if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
   let options = resolve_options options in
   let compiled = compile netlist in
-  (* One backend for the whole transient: the factorization built at the
+  (* One solver state for the whole transient: the factorization built at the
      first step is reused (or cheaply updated) across every subsequent
      step and sub-step — the dominant win on long ramps where the circuit
      sits quiescent between clock edges. *)
-  let backend = make_backend compiled in
+  let state = make_state compiled in
   let diag = ref no_diagnostics in
   let solve ~mode ~t x ~what =
-    let x', d = solve_point_diag ~backend ~options ~mode ~t compiled x ~what in
+    let x', d = solve_point_diag ~state ~options ~mode ~t compiled x ~what in
     diag := merge_diagnostics !diag d;
     x'
   in
   let x0 =
-    match try_shared_seed ~netlist ~options compiled backend with
+    match try_shared_seed ~netlist ~options compiled state with
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
@@ -1249,9 +1133,9 @@ let dc_sweep ?options netlist ~source ~values =
     Netlist.remove_device netlist source;
     Netlist.add_vsource netlist ~name:source ~pos ~neg (Waveform.dc value);
     let compiled = compile netlist in
-    let backend = make_backend compiled in
+    let state = make_state compiled in
     let x =
-      solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled seed
+      solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled seed
         ~what:(Printf.sprintf "dc sweep %s=%g" source value)
     in
     make_solution compiled ~t:0.0 x, x
@@ -1307,9 +1191,9 @@ let ac_sweep ?options netlist ~source ~frequencies =
       (Printf.sprintf "Engine.ac_sweep: %S is not a voltage source" source);
   (* Operating point for the linearization. *)
   let x0 = Array.make compiled.n_unknowns 0.0 in
-  let backend = make_backend compiled in
+  let state = make_state compiled in
   let op =
-    solve_point ~backend ~options ~mode:Dc_mode ~t:0.0 compiled x0
+    solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
       ~what:"ac operating point"
   in
   let n = compiled.n_unknowns in

@@ -1,10 +1,13 @@
 (** The analog simulation engine: DC operating point and transient.
 
-    Modified nodal analysis with dense LU; nonlinear devices are solved by
-    damped Newton–Raphson with a gmin shunt on every node, gmin stepping
-    and source stepping as fallbacks — the standard SPICE convergence
-    aids, which matter here because injected faults routinely produce
-    floating nodes (opens) and near-shorts.
+    Modified nodal analysis through {!Linear.Factor}: one solver state per
+    analysis keeps an LU factorization (dense, or band-limited under an
+    RCM ordering) and reuses it across iterations (see Solver policy below).
+    Nonlinear devices are solved by damped Newton–Raphson with a gmin
+    shunt on every node, gmin stepping and source stepping as fallbacks —
+    the standard SPICE convergence aids, which matter here because
+    injected faults routinely produce floating nodes (opens) and
+    near-shorts.
 
     Every Newton iteration spends one tick of the ambient
     {!Util.Watchdog} budget, so a caller that arms a deadline with
@@ -58,31 +61,35 @@ val escalation : options -> level:int -> options
     threading options through it. *)
 val with_options_override : options -> (unit -> 'a) -> 'a
 
-(** {1 Solver selection}
+(** {1 Solver policy}
 
-    Every analysis allocates one solver backend per compiled netlist and
+    Every analysis allocates one solver state per compiled netlist and
     keeps it for the analysis's whole lifetime (all Newton iterations,
-    transient steps and stepping-fallback stages):
+    transient steps and stepping-fallback stages). The state assembles
+    the MNA Jacobian from a compiled stamp plan and factors it through
+    {!Linear.Factor}. The policy decides how hard it tries to avoid that
+    work:
 
-    - [Dense] is the historical reference path: rebuild and LU-factor the
-      full MNA matrix on every Newton iteration. Bit-identical to the
-      pre-factorization engine; the baseline for bisecting regressions.
-    - [Rank1] keeps the factorization and re-uses it while no MOSFET
-      linearization has moved beyond a tight tolerance (Jacobian bypass),
-      folds small changes in as Sherman–Morrison rank-1 updates, and
-      re-factors only when many devices move at once or an update's
-      denominator guard trips.
-    - [Auto] (the default) is [Rank1] plus a per-compile structural
-      choice of LU kernel: if an RCM ordering of the node adjacency graph
-      yields a half-bandwidth well under the matrix size, the band-limited
-      kernel is used instead of the dense one.
+    - [Auto] (the default) keeps the factorization and re-uses it while
+      no MOSFET linearization has moved beyond a tolerance (Jacobian
+      bypass), folds small changes in as Sherman–Morrison rank-1
+      updates, and re-factors only when many devices move at once or an
+      update's denominator guard trips. If an RCM ordering of the node
+      adjacency graph yields a half-bandwidth well under the matrix
+      size, the band-limited kernel is used instead of the dense one.
+    - [Oracle] is the reference: a fresh assembly and dense LU on every
+      Newton iteration — no bypass, no rank-1 updates, no permutation
+      and no shared-nominal factor seeding. It exists to check [Auto]
+      against and to bisect regressions.
 
-    All reuse/fallback decisions are pure functions of device values —
-    never of timing — so results are deterministic at any job count,
-    warm or cold. Telemetry: [engine.factorizations], [engine.rank1_solves],
-    [engine.jacobian_bypass], [engine.rank1_fallbacks]. *)
+    Both policies print byte-identical tables. All reuse/fallback
+    decisions are pure functions of device values — never of timing — so
+    results are deterministic at any job count, warm or cold. Telemetry:
+    [engine.factorizations], [engine.rank1_solves],
+    [engine.jacobian_bypass], [engine.rank1_fallbacks]; the last three
+    stay zero under [Oracle]. *)
 
-type solver = Dense | Rank1 | Auto
+type solver = Auto | Oracle
 
 val default_solver : solver
 (** [Auto]. *)
@@ -91,10 +98,10 @@ val solver_name : solver -> string
 val solver_of_string : string -> solver option
 
 val all_solvers : solver list
-(** In CLI-enumeration order: dense, rank1, auto. *)
+(** In CLI-enumeration order: auto, oracle. *)
 
 (** [with_solver s f] makes every analysis started inside [f] use solver
-    backend [s]. Scoped to the current domain and the dynamic extent of
+    policy [s]. Scoped to the current domain and the dynamic extent of
     [f] (nests, exception-safe), on a separate key from
     {!with_options_override} so retry escalation cannot clobber it. Note
     domain-local state does not propagate into pool workers — parallel
@@ -117,23 +124,23 @@ val current_solver : unit -> solver
     Jacobian factorization — once per worker domain, cached by
     (skeleton, options).
 
-    The warm start is part of the analysis semantics: {e every} backend,
-    dense included, starts Newton from the derived nominal operating
+    The warm start is part of the analysis semantics: both policies,
+    [Oracle] included, start Newton from the derived nominal operating
     point (the derivation is solver-independent, so the vector is
-    bitwise identical across backends — a reuse-only warm start would
-    let the seeded path resolve marginal classes the dense reference
-    cannot, and the cross-backend table-identity contract would break).
-    On top of that, reuse backends ([Rank1]/[Auto]) also chain the
-    injected conductances onto the cached factorization as rank-1
-    updates, so their first solve skips the fresh factor entirely.
+    bitwise identical under either policy — an auto-only warm start
+    would let the seeded path resolve marginal classes the oracle
+    cannot, and the table-identity contract would break). On top of
+    that, [Auto] also chains the injected conductances onto the cached
+    factorization as rank-1 updates, so its first solve skips the fresh
+    factor entirely.
 
     The seed is only ever a preconditioner: the chord iteration converges
     to the faulty circuit's own solution regardless, and every
     seed/fallback decision is a pure function of (netlist, options), so
     the determinism contract is unchanged. Faults that are not pure R/C
     additions (node splits, parasitic devices) and skeletons whose
-    nominal solve fails fall back to the ordinary cold-start path on all
-    backends alike; an update-guard trip drops only the factor seed and
+    nominal solve fails fall back to the ordinary cold-start path under
+    both policies; an update-guard trip drops only the factor seed and
     keeps the warm start.
 
     Telemetry: [engine.shared_nominal_hits] (first solve warm-started),
@@ -201,7 +208,8 @@ val dc_operating_point_diag :
 
 (** [dense_jacobian ?options netlist ~x] — the dense DC MNA matrix
     linearized at guess [x] (length = unknowns: node voltages then
-    branch currents). A diagnostic for tests of structural invariants
+    branch currents), assembled by the same stamping the solver factors.
+    A diagnostic for tests of structural invariants
     (e.g. the rank-≤2 fault-perturbation property the shared-nominal
     path relies on); not a hot path.
     @raise Invalid_argument when [x] has the wrong length. *)

@@ -30,7 +30,7 @@ let matrix_scale a =
    multipliers below the diagonal and U on and above it, and [piv.(k)] is
    the row swapped into position k at step k. The arithmetic (operation
    order included) is exactly the historical fused eliminate-and-solve
-   loop with the right-hand-side work split out, so [solve] results are
+   loop with the right-hand-side work split out, so factored solves are
    bit-identical to the pre-factorization implementation. *)
 let factor_in_place a piv =
   let n = Array.length a in
@@ -98,15 +98,6 @@ let substitute_in_place a piv b =
     done;
     Array.unsafe_set b i (!sum /. Array.unsafe_get row i)
   done
-
-let solve a b =
-  let n = Array.length b in
-  if Array.length a <> n || (n > 0 && Array.length a.(0) <> n) then
-    invalid_arg "Linear.solve: shape mismatch";
-  let piv = Array.make n 0 in
-  factor_in_place a piv;
-  substitute_in_place a piv b;
-  b
 
 (* --- banded kernels ---------------------------------------------------- *)
 

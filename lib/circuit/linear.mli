@@ -4,8 +4,7 @@
     kernels are dense LU with partial pivoting (optionally band-limited
     under an RCM permutation). The primary surface is {!Factor}: factor a
     matrix once, then reuse the factorization across many right-hand
-    sides and cheap Sherman–Morrison rank-1 corrections. The in-place
-    [solve] remains as a thin wrapper over the same kernels.
+    sides and cheap Sherman–Morrison rank-1 corrections.
 
     Singularity is judged relative to the matrix's largest entry (a pivot
     below [1e-30 · max|a_ij|] raises {!Singular}), so badly-scaled but
@@ -74,12 +73,6 @@ val rcm : n:int -> (int * int) list -> int array
     graph after applying the symmetric ordering [perm] — the selection
     heuristic for choosing the banded kernel. *)
 val bandwidth_under : perm:int array -> (int * int) list -> int
-
-(** [solve a b] solves [a · x = b], overwriting both [a] (with its LU
-    factors) and [b] (with the solution), and returns [b].
-    @raise Singular when pivoting finds no usable pivot.
-    @raise Invalid_argument on shape mismatch. *)
-val solve : float array array -> float array -> float array
 
 (** [matrix n] is a fresh n×n zero matrix. *)
 val matrix : int -> float array array

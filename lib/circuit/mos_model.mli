@@ -52,8 +52,8 @@ val evaluate :
 
     Results are bit-identical to calling {!evaluate} per device — the
     mirror and drain/source swap are exact IEEE-754 sign transfers — so
-    the dense reference backend and the plan-based backends print
-    byte-identical tables. All arrays must have length at least [n]. *)
+    the plan-based engine matches a scalar re-evaluation of the netlist
+    exactly. All arrays must have length at least [n]. *)
 val evaluate_packed :
   n:int ->
   sign:float array -> vth:float array -> beta:float array ->

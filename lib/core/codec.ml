@@ -655,7 +655,7 @@ let limits_of_json json =
   Ok { Util.Watchdog.wall_seconds; max_iterations }
 
 let solver_to_json, solver_of_json =
-  enum ~what:"solver backend" ~name_of:Circuit.Engine.solver_name
+  enum ~what:"solver policy" ~name_of:Circuit.Engine.solver_name
     Circuit.Engine.all_solvers
 
 let format_to_json, format_of_json =

@@ -60,9 +60,9 @@ module Config : sig
             stored through it under the macro's key — and is inert
             without one. See {!Checkpoint}. *)
     solver : Circuit.Engine.solver;
-        (** linear-solver backend for every simulation stage (default
-            {!Circuit.Engine.default_solver} = [Auto]). All backends must
-            produce identical tables; [Dense] is the reference path for
+        (** solver policy for every simulation stage (default
+            {!Circuit.Engine.default_solver} = [Auto]). Both policies must
+            produce identical tables; [Oracle] is the reference path for
             bisecting solver regressions. Part of the cache key. *)
     sprinkle_chunk : int;
         (** defect draws per sprinkle chunk (default

@@ -1,4 +1,6 @@
-type 'a entry = { id : int; rect : Rect.t; payload : 'a }
+(* [col0]/[row0] is the entry's first (lowest) bucket, the reference
+   point of the duplicate-free query rule in [visit]. *)
+type 'a entry = { rect : Rect.t; payload : 'a; col0 : int; row0 : int }
 
 type 'a t = {
   bounds : Rect.t;
@@ -7,10 +9,6 @@ type 'a t = {
   rows : int;
   buckets : 'a entry list array;
   mutable count : int;
-  mutable stamp : int;
-  (* Deduplication scratch: seen.(id) = stamp means the entry was already
-     visited during the current query. Grown on demand. *)
-  mutable seen : int array;
 }
 
 let create ~bounds ~cell_size =
@@ -24,8 +22,6 @@ let create ~bounds ~cell_size =
     rows;
     buckets = Array.make (cols * rows) [];
     count = 0;
-    stamp = 0;
-    seen = Array.make 64 0;
   }
 
 let length t = t.count
@@ -38,15 +34,9 @@ let bucket_range t (r : Rect.t) =
   col_of r.Rect.x0, row_of r.Rect.y0, col_of r.Rect.x1, row_of r.Rect.y1
 
 let insert t rect payload =
-  let id = t.count in
   t.count <- t.count + 1;
-  if id >= Array.length t.seen then begin
-    let bigger = Array.make (2 * Array.length t.seen) 0 in
-    Array.blit t.seen 0 bigger 0 (Array.length t.seen);
-    t.seen <- bigger
-  end;
-  let entry = { id; rect; payload } in
   let c0, r0, c1, r1 = bucket_range t rect in
+  let entry = { rect; payload; col0 = c0; row0 = r0 } in
   for row = r0 to r1 do
     for col = c0 to c1 do
       let idx = (row * t.cols) + col in
@@ -54,19 +44,21 @@ let insert t rect payload =
     done
   done
 
+(* An entry spanning several buckets sits in every one of them. It is
+   reported only in the first bucket the query and the entry share, the
+   top-left corner of the overlap of their bucket ranges. The row-major
+   scan reaches that bucket before any other shared one, so entries come
+   out exactly once and in first-encounter order. The rule keeps no
+   scratch state, so concurrent queries on one index are safe. *)
 let visit t region keep f =
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
   let c0, r0, c1, r1 = bucket_range t region in
   for row = r0 to r1 do
     for col = c0 to c1 do
       let bucket = t.buckets.((row * t.cols) + col) in
       List.iter
         (fun e ->
-          if t.seen.(e.id) <> stamp then begin
-            t.seen.(e.id) <- stamp;
-            if keep e.rect then f e.rect e.payload
-          end)
+          if col = max c0 e.col0 && row = max r0 e.row0 && keep e.rect then
+            f e.rect e.payload)
         bucket
     done
   done

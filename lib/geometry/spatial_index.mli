@@ -3,7 +3,10 @@
     Defect sprinkling queries "which shapes does this disc touch?" millions
     of times; a bucket grid over the cell bounding box turns that from
     O(shapes) into O(1) for realistic layouts. Values of type ['a] are the
-    caller's shape payloads (layer, net, device terminal…). *)
+    caller's shape payloads (layer, net, device terminal…).
+
+    Queries never mutate the index, so any number of domains may query
+    one index at once; inserts must not overlap with queries. *)
 
 type 'a t
 

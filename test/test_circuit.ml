@@ -537,7 +537,7 @@ let test_transient_rejects_bad_grid () =
       ignore (Engine.transient nl ~stop:1.0 ~step:0.0))
 
 (* ------------------------------------------------------------------ *)
-(* Engine: solver backends                                             *)
+(* Engine: solver policies                                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_solver_names_roundtrip () =
@@ -549,27 +549,33 @@ let test_solver_names_roundtrip () =
         (Engine.solver_of_string (Engine.solver_name s) = Some s))
     Engine.all_solvers;
   Alcotest.(check bool) "unknown rejected" true
-    (Engine.solver_of_string "cholesky" = None)
+    (Engine.solver_of_string "cholesky" = None);
+  List.iter
+    (fun retired ->
+      Alcotest.(check bool) (retired ^ " rejected") true
+        (Engine.solver_of_string retired = None))
+    [ "dense"; "rank1" ]
 
 let test_with_solver_scoped () =
   Alcotest.(check bool) "default in effect" true
     (Engine.current_solver () = Engine.default_solver);
-  Engine.with_solver Engine.Dense (fun () ->
+  Engine.with_solver Engine.Oracle (fun () ->
       Alcotest.(check bool) "override visible" true
-        (Engine.current_solver () = Engine.Dense);
-      Engine.with_solver Engine.Rank1 (fun () ->
+        (Engine.current_solver () = Engine.Oracle);
+      Engine.with_solver Engine.Auto (fun () ->
           Alcotest.(check bool) "nested override" true
-            (Engine.current_solver () = Engine.Rank1));
+            (Engine.current_solver () = Engine.Auto));
       Alcotest.(check bool) "inner scope popped" true
-        (Engine.current_solver () = Engine.Dense));
+        (Engine.current_solver () = Engine.Oracle));
   Alcotest.(check bool) "restored" true
     (Engine.current_solver () = Engine.default_solver)
 
 let test_solver_backends_agree () =
-  (* The inverter transient under every backend: node voltages must
-     agree to far tighter than any signature-classification threshold,
-     and the fast path must actually fire under Rank1/Auto — otherwise
-     the comparison proves nothing. *)
+  (* The inverter transient under both policies: node voltages must
+     agree to far tighter than any signature-classification threshold.
+     The fast path must actually fire under Auto — otherwise the
+     comparison proves nothing — and never under Oracle, which must
+     re-factor on every iteration to be a reference at all. *)
   let run solver =
     let nl = Netlist.create () in
     let vdd = Netlist.node nl "vdd" in
@@ -602,28 +608,133 @@ let test_solver_backends_agree () =
     in
     List.map (fun s -> Engine.time s, Engine.voltage s out) sols, counter
   in
-  let dense, _ = run Engine.Dense in
+  let oracle, oracle_counter = run Engine.Oracle in
   List.iter
-    (fun solver ->
-      let name = Engine.solver_name solver in
-      let fast, counter = run solver in
-      Alcotest.(check int)
-        (name ^ ": same step count")
-        (List.length dense) (List.length fast);
-      List.iter2
-        (fun (t, v) (t', v') ->
-          check_float 0.0 (Printf.sprintf "%s: time %g" name t) t t';
-          check_float 1e-6 (Printf.sprintf "%s: out @ %g" name t) v v')
-        dense fast;
-      Alcotest.(check bool)
-        (name ^ ": factorizations counted")
-        true
-        (counter "engine.factorizations" > 0);
-      Alcotest.(check bool)
-        (name ^ ": fast path fired")
-        true
-        (counter "engine.jacobian_bypass" + counter "engine.rank1_solves" > 0))
-    [ Engine.Rank1; Engine.Auto ]
+    (fun name ->
+      Alcotest.(check int) ("oracle: no " ^ name) 0 (oracle_counter name))
+    [ "engine.rank1_solves"; "engine.jacobian_bypass"; "engine.rank1_fallbacks" ];
+  let fast, counter = run Engine.Auto in
+  Alcotest.(check int) "auto: same step count" (List.length oracle)
+    (List.length fast);
+  List.iter2
+    (fun (t, v) (t', v') ->
+      check_float 0.0 (Printf.sprintf "auto: time %g" t) t t';
+      check_float 1e-6 (Printf.sprintf "auto: out @ %g" t) v v')
+    oracle fast;
+  Alcotest.(check bool) "auto: factorizations counted" true
+    (counter "engine.factorizations" > 0);
+  Alcotest.(check bool) "auto: fast path fired" true
+    (counter "engine.jacobian_bypass" + counter "engine.rank1_solves" > 0);
+  Alcotest.(check bool) "auto: fewer factorizations than oracle" true
+    (counter "engine.factorizations"
+    < oracle_counter "engine.factorizations")
+
+(* An independent check of converged operating points: recompute every
+   branch current from the netlist's own devices — scalar
+   [Mos_model.evaluate], no stamp plan, no factorization — and require
+   Kirchhoff's current law at every node and every voltage source's
+   constraint. Returns the worst node residual as a multiple of the
+   engine's own current tolerance there (abstol + reltol · the sum of
+   |branch current| at the node) and the worst source-constraint error
+   in volts. *)
+let kcl_residual nl sol =
+  let v node = Engine.voltage sol node in
+  let nodes = Netlist.node_count nl in
+  let sum = Array.make (nodes + 1) 0.0 in
+  let scale = Array.make (nodes + 1) 0.0 in
+  let leave node i =
+    let k = Netlist.index_of_node node in
+    sum.(k) <- sum.(k) +. i;
+    scale.(k) <- scale.(k) +. Float.abs i
+  in
+  let worst_source = ref 0.0 in
+  List.iter
+    (fun (dv : Netlist.device_view) ->
+      let pin role = List.assoc role dv.Netlist.pin_nodes in
+      match dv.Netlist.kind with
+      | Netlist.Resistor r ->
+        let i = (v (pin "+") -. v (pin "-")) /. r in
+        leave (pin "+") i;
+        leave (pin "-") (-.i)
+      | Netlist.Capacitor _ -> ()
+      | Netlist.Vsource wave ->
+        let delivered = Engine.source_current sol dv.Netlist.dev_name in
+        leave (pin "+") (-.delivered);
+        leave (pin "-") delivered;
+        worst_source :=
+          Float.max !worst_source
+            (Float.abs (v (pin "+") -. v (pin "-") -. Waveform.value wave 0.0))
+      | Netlist.Isource wave ->
+        let i = Waveform.value wave 0.0 in
+        leave (pin "+") (-.i);
+        leave (pin "-") i
+      | Netlist.Mosfet spec ->
+        let d = pin "d" and g = pin "g" and s = pin "s" in
+        let op =
+          Mos_model.evaluate ~polarity:spec.Netlist.polarity
+            ~params:spec.Netlist.params ~w:spec.Netlist.w ~l:spec.Netlist.l
+            ~vgs:(v g -. v s) ~vds:(v d -. v s)
+        in
+        leave d op.Mos_model.id;
+        leave s (-.op.Mos_model.id))
+    (Netlist.devices nl);
+  (* The engine shunts every node to ground with gmin. *)
+  List.iter
+    (fun node ->
+      if not (Netlist.node_equal node Netlist.ground) then
+        leave node (Engine.default_options.Engine.gmin *. v node))
+    (Netlist.nodes nl);
+  let worst_node = ref 0.0 in
+  let o = Engine.default_options in
+  for k = 1 to nodes do
+    worst_node :=
+      Float.max !worst_node
+        (Float.abs sum.(k) /. (o.Engine.abstol +. (o.Engine.reltol *. scale.(k))))
+  done;
+  !worst_node, !worst_source
+
+let test_dc_kcl_residual () =
+  let sample = Process.Variation.nominal Process.Tech.cmos1um in
+  let comparator = Adc.Comparator.bench_netlist Adc.Comparator.default_options sample in
+  (* At t = 0 every clock phase is low and the comparator draws only
+     leakage. Holding the sampling and amplify phases' raw clocks low
+     connects the inputs and switches the tail on, so real currents flow
+     through the pair and its loads. *)
+  let amplifying =
+    let nl = Netlist.copy comparator in
+    List.iter
+      (fun i ->
+        let name = Printf.sprintf "VRAW%d" i in
+        let raw = Netlist.node nl (Printf.sprintf "rawclk%d" i) in
+        Netlist.remove_device nl name;
+        Netlist.add_vsource nl ~name ~pos:raw ~neg:Netlist.ground
+          (Waveform.dc 0.0))
+      [ 1; 2 ];
+    nl
+  in
+  let bridged =
+    Fault.Inject.inject amplifying
+      (Fault.Types.Bridge
+         { net_a = "outp"; net_b = "tail"; resistance = 2_000.0;
+           capacitance = None; origin = Fault.Types.Short })
+  in
+  let scaled = (Adc.Scaled.macro ~bits:5 ()).Macro.Macro_cell.build sample in
+  List.iter
+    (fun (name, nl) ->
+      List.iter
+        (fun solver ->
+          let tag = Printf.sprintf "%s (%s)" name (Engine.solver_name solver) in
+          let sol = Engine.with_solver solver (fun () -> Engine.dc_operating_point nl) in
+          let node, source = kcl_residual nl sol in
+          Alcotest.(check bool) (tag ^ ": KCL at every node") true (node <= 1.0);
+          Alcotest.(check bool) (tag ^ ": source constraints") true (source < 1e-9))
+        Engine.all_solvers)
+    [
+      "comparator", comparator;
+      "amplifying comparator", amplifying;
+      "bridged comparator", bridged;
+      "scaled bits=5", scaled;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine: AC                                                          *)
@@ -936,6 +1047,7 @@ let suites =
         Alcotest.test_case "names round-trip" `Quick test_solver_names_roundtrip;
         Alcotest.test_case "with_solver scoped" `Quick test_with_solver_scoped;
         Alcotest.test_case "backends agree" `Quick test_solver_backends_agree;
+        Alcotest.test_case "KCL residual of converged points" `Quick test_dc_kcl_residual;
       ] );
     ( "circuit.engine.ac",
       [

@@ -512,13 +512,13 @@ let test_cache_key_sensitivity () =
   let seeded = Core.Pipeline.Config.with_seed 77 telemetry_config in
   let _, s = analyze_cached ~dir ~jobs:1 seeded in
   Alcotest.(check int) "different seed misses" 1 s.Util.Cache.misses;
-  (* The solver backend is part of the key: even though all backends are
-     required to produce identical tables, a backend regression must
-     never be able to poison a warm cache for the others. *)
-  let dense =
-    Core.Pipeline.Config.with_solver Circuit.Engine.Dense telemetry_config
+  (* The solver policy is part of the key: even though both policies are
+     required to produce identical tables, an auto regression must never
+     be able to poison a warm cache for the oracle. *)
+  let oracle =
+    Core.Pipeline.Config.with_solver Circuit.Engine.Oracle telemetry_config
   in
-  let _, sd = analyze_cached ~dir ~jobs:1 dense in
+  let _, sd = analyze_cached ~dir ~jobs:1 oracle in
   Alcotest.(check int) "different solver misses" 1 sd.Util.Cache.misses;
   (* ...while the DfT comparator variant shares the macro name but not
      the netlist, so it must also miss rather than alias. *)
@@ -718,13 +718,13 @@ let test_deadline_part_of_cache_key () =
   Alcotest.(check int) "deadline config misses" 1 s.Util.Cache.misses;
   Alcotest.(check int) "no false hit" 0 s.Util.Cache.hits
 
-(* --- solver backends --------------------------------------------------- *)
+(* --- solver policies --------------------------------------------------- *)
 
-(* The solver determinism contract: every backend produces byte-identical
+(* The solver determinism contract: both policies produce byte-identical
    tables and health counters at any job count, clean or fault-injected.
-   [Dense] at jobs=1 is the reference; the factorization-reuse backends
-   must match it exactly — reuse and fallback decisions are functions of
-   the numbers, never of timing or scheduling. *)
+   [Oracle] at jobs=1 is the reference; [Auto] must match it exactly —
+   reuse and fallback decisions are functions of the numbers, never of
+   timing or scheduling. *)
 let test_solver_tables_invariant () =
   let analyze ~solver ~jobs config =
     let saved = Util.Pool.jobs () in
@@ -740,21 +740,16 @@ let test_solver_tables_invariant () =
     (fun (tag, config) ->
       let reference =
         analysis_fingerprint
-          (analyze ~solver:Circuit.Engine.Dense ~jobs:1 config)
+          (analyze ~solver:Circuit.Engine.Oracle ~jobs:1 config)
       in
       List.iter
-        (fun solver ->
-          List.iter
-            (fun jobs ->
-              if not (solver = Circuit.Engine.Dense && jobs = 1) then
-                Alcotest.(check string)
-                  (Printf.sprintf "%s equals dense (%s, jobs=%d)"
-                     (Circuit.Engine.solver_name solver)
-                     tag jobs)
-                  reference
-                  (analysis_fingerprint (analyze ~solver ~jobs config)))
-            [ 1; 4 ])
-        Circuit.Engine.all_solvers)
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "auto equals oracle (%s, jobs=%d)" tag jobs)
+            reference
+            (analysis_fingerprint
+               (analyze ~solver:Circuit.Engine.Auto ~jobs config)))
+        [ 1; 4 ])
     [
       "clean", telemetry_config;
       ( "injected",

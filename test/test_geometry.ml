@@ -153,6 +153,45 @@ let test_index_outside_bounds_clamped () =
       incr hits);
   Alcotest.(check int) "clamped entry still found" 1 !hits
 
+let test_index_concurrent_queries () =
+  (* Defect sprinkling queries one cached index from every pool worker at
+     once. Each domain repeats the same probe set many times; every
+     answer, order included, must equal the sequential one. Wide
+     rectangles span many buckets, so the duplicate-free rule is
+     exercised on nearly every query. *)
+  let rng = Random.State.make [| 1995 |] in
+  let random_rect ~max_side =
+    Rect.of_size
+      ~x:(Random.State.int rng 1000 - 100)
+      ~y:(Random.State.int rng 1000 - 100)
+      ~w:(1 + Random.State.int rng max_side)
+      ~h:(1 + Random.State.int rng max_side)
+  in
+  let bounds = rect ~x0:0 ~y0:0 ~x1:1000 ~y1:1000 in
+  let idx = Spatial_index.create ~bounds ~cell_size:25 in
+  for i = 0 to 299 do
+    Spatial_index.insert idx (random_rect ~max_side:300) i
+  done;
+  let probes = List.init 64 (fun _ -> random_rect ~max_side:200) in
+  let answer probe =
+    let hits = ref [] in
+    Spatial_index.query_rect idx probe (fun _ i -> hits := i :: !hits);
+    List.rev !hits
+  in
+  let expected = List.map answer probes in
+  let mismatches () =
+    let bad = ref 0 in
+    for _ = 1 to 100 do
+      List.iter2 (fun probe want -> if answer probe <> want then incr bad)
+        probes expected
+    done;
+    !bad
+  in
+  let workers = List.init 2 (fun _ -> Domain.spawn mismatches) in
+  List.iter
+    (fun d -> Alcotest.(check int) "answers match sequential" 0 (Domain.join d))
+    workers
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -237,6 +276,7 @@ let suites =
         Alcotest.test_case "no duplicates" `Quick test_index_no_duplicates;
         Alcotest.test_case "circle query" `Quick test_index_circle_query;
         Alcotest.test_case "outside bounds clamped" `Quick test_index_outside_bounds_clamped;
+        Alcotest.test_case "concurrent queries" `Quick test_index_concurrent_queries;
       ] );
     "geometry.properties", List.map QCheck_alcotest.to_alcotest qcheck_props;
   ]

@@ -174,6 +174,11 @@ let decode_response line =
   | Ok r -> r
   | Error e -> Alcotest.fail ("response line does not decode: " ^ e)
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
+
 let error_code = function
   | Ok _ -> Alcotest.fail "expected an error response"
   | Error e -> e.Request.code
@@ -200,6 +205,33 @@ let test_handle_line_errors () =
      line: still just a bad_request. *)
   Alcotest.(check string) "nesting bomb" "bad_request"
     (Request.error_code_name (code (String.make 50_000 '[')));
+  (* Retired solver spellings get the decoder's structured error naming
+     the value, never a silent mapping onto a current policy; "oracle"
+     decodes and round-trips. *)
+  let with_solver name =
+    Printf.sprintf
+      "{\"api\":\"dotest-api/1\",\"target\":\"global\",\"solver\":\"%s\"}"
+      name
+  in
+  List.iter
+    (fun retired ->
+      match decode_response (Service.handle_line service (with_solver retired)) with
+      | Ok _ -> Alcotest.failf "solver %s must be rejected" retired
+      | Error e ->
+        Alcotest.(check string) ("solver " ^ retired) "bad_request"
+          (Request.error_code_name e.Request.code);
+        Alcotest.(check bool) (retired ^ " named in the message") true
+          (contains e.Request.message retired))
+    [ "dense"; "rank1" ];
+  (match
+     Result.bind (Util.Json.of_string (with_solver "oracle")) Codec.request_of_json
+   with
+  | Error e -> Alcotest.failf "oracle request does not decode: %s" e
+  | Ok r ->
+    Alcotest.(check string) "oracle decoded" "oracle"
+      (Circuit.Engine.solver_name r.Request.solver);
+    Alcotest.(check bool) "oracle round-trips" true
+      (Codec.request_of_json (Codec.request_to_json r) = Ok r));
   (* The id is echoed even when the body is malformed. *)
   match
     decode_response
