@@ -292,9 +292,10 @@ let timed f =
   let result = f () in
   result, Unix.gettimeofday () -. t0
 
-(* Pool failures arrive wrapped (possibly twice: macro fan-out around the
-   per-class fan-out); report the innermost cause, which carries the
-   failing fault-class index. *)
+(* Pool failures arrive wrapped in [Worker_failure], as many times as
+   pool maps sit between the failure and the caller (the per-class
+   fan-out, a caller's own fan-out around it); report the innermost
+   cause, which carries the failing fault-class index. *)
 let rec root_cause = function
   | Util.Pool.Worker_failure (_, e) -> root_cause e
   | e -> e

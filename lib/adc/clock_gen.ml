@@ -68,12 +68,14 @@ let bench_netlist (s : Process.Variation.sample) =
    phase input. One full period is simulated; levels and IDDQ are read
    mid-phase. *)
 let measure nl =
-  let sols = Circuit.Engine.transient nl ~stop:Params.period ~step:Params.sim_step in
-  let at t =
-    let index = int_of_float (Float.round (t /. Params.sim_step)) in
-    List.nth sols (min index (List.length sols - 1))
-  in
   let mid i = (float_of_int (i - 1) +. 0.5) *. Params.phase in
+  let times = List.map mid [ 1; 2; 3 ] in
+  let sols =
+    List.combine times
+      (Circuit.Engine.transient nl ~at:times ~stop:Params.period
+         ~step:Params.sim_step)
+  in
+  let at t = List.assoc t sols in
   let v t name = Circuit.Engine.voltage (at t) (Circuit.Netlist.node nl name) in
   List.concat
     [

@@ -165,10 +165,12 @@ let set_vin nl v =
   Circuit.Netlist.add_vsource nl ~name:"VIN" ~pos:vin ~neg:Circuit.Netlist.ground
     (Circuit.Waveform.dc v)
 
-let solution_at solutions t =
-  let step = Params.sim_step in
-  let index = int_of_float (Float.round (t /. step)) in
-  List.nth solutions (min index (List.length solutions - 1))
+(* The times [measure] reads, snapped to the step grid by the engine: the
+   mid-phase points of the second period and the decision instant. *)
+let sample_times =
+  [ Params.mid_sample; Params.mid_amplify; Params.mid_latch; Params.decision_time ]
+
+let solution_at samples t = List.assoc t samples
 
 (* Decision encoding. A real flipflop resolves a near-metastable input
    through its own input offset, always falling to the same side — that is
@@ -189,7 +191,10 @@ let transient_run nl vin_value =
   let nl = Circuit.Netlist.copy nl in
   set_vin nl vin_value;
   let stop = 2.0 *. Params.period in
-  nl, Circuit.Engine.transient nl ~stop ~step:Params.sim_step
+  let sols =
+    Circuit.Engine.transient nl ~at:sample_times ~stop ~step:Params.sim_step
+  in
+  nl, List.combine sample_times sols
 
 let measure nl =
   let vref = 2.0 in

@@ -686,7 +686,10 @@ let newton ~state ~options ~mode ~alpha ~t compiled x0 =
   iterate options.max_iterations
 
 (* Solve one point, recording how many Newton iterations were spent and
-   which convergence aid finally succeeded. *)
+   which convergence aid finally succeeded. [what] labels the point in
+   the [No_convergence] message; it is a thunk because a transient runs
+   hundreds of thousands of solves and only a failed one needs its
+   label. *)
 let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
   let spent = ref 0 in
   let try_newton ~options ~alpha x =
@@ -740,7 +743,7 @@ let solve_point_diag ~state ~options ~mode ~t compiled x0 ~what =
         Util.Telemetry.count "engine.solves";
         Util.Telemetry.count ~by:!spent "newton_iterations";
         Util.Telemetry.count "engine.no_convergence";
-        raise (No_convergence what)))
+        raise (No_convergence (what ()))))
 
 let solve_point ~state ~options ~mode ~t compiled x0 ~what =
   fst (solve_point_diag ~state ~options ~mode ~t compiled x0 ~what)
@@ -893,7 +896,7 @@ let sn_derive ~options stripped =
   match
     solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled
       (Array.make compiled.n_unknowns 0.0)
-      ~what:"shared nominal derivation"
+      ~what:(fun () -> "shared nominal derivation")
   with
   | exception No_convergence _ -> None
   | exception Linear.Singular -> None
@@ -1034,7 +1037,7 @@ let dc_operating_point_diag ?options netlist =
   in
   let x, diag =
     solve_point_diag ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
-      ~what:"dc operating point"
+      ~what:(fun () -> "dc operating point")
   in
   make_solution compiled ~t:0.0 x, diag
 
@@ -1056,7 +1059,7 @@ let dense_jacobian ?options netlist ~x =
   assemble state;
   Array.map Array.copy state.rfull
 
-let transient_diag ?options netlist ~stop ~step =
+let transient_diag ?options ?at netlist ~stop ~step =
   if step <= 0. || stop < step then invalid_arg "Engine.transient: bad time grid";
   let options = resolve_options options in
   let compiled = compile netlist in
@@ -1076,8 +1079,26 @@ let transient_diag ?options netlist ~stop ~step =
     | Some warm -> warm
     | None -> Array.make compiled.n_unknowns 0.0
   in
-  let x_dc = solve ~mode:Dc_mode ~t:0.0 x0 ~what:"transient initial point" in
+  let x_dc =
+    solve ~mode:Dc_mode ~t:0.0 x0 ~what:(fun () -> "transient initial point")
+  in
   let n_steps = int_of_float (Float.round (stop /. step)) in
+  (* A sampled run keeps only the grid points its times snap to, so the
+     other steps' solutions die young instead of living (and being
+     promoted) until the caller drops the whole trajectory. *)
+  let samples =
+    Option.map
+      (List.map (fun t ->
+           max 0 (min n_steps (int_of_float (Float.round (t /. step))))))
+      at
+  in
+  let wanted = Array.make (n_steps + 1) (Option.is_none samples) in
+  Option.iter (List.iter (fun i -> wanted.(i) <- true)) samples;
+  let kept = Array.make (n_steps + 1) None in
+  let keep i x =
+    if wanted.(i) then
+      kept.(i) <- Some (make_solution compiled ~t:(float_of_int i *. step) x)
+  in
   (* A failed Newton solve at a full step (sharp clock edge, regenerative
      transition) is retried over recursively halved sub-steps; only when
      seven levels of halving still fail is the analysis abandoned. *)
@@ -1085,7 +1106,8 @@ let transient_diag ?options netlist ~stop ~step =
     let t = t_prev +. h in
     let mode = Transient_mode { h; x_prev } in
     match
-      solve ~mode ~t x_prev ~what:(Printf.sprintf "transient step at t=%.3e" t)
+      solve ~mode ~t x_prev ~what:(fun () ->
+          Printf.sprintf "transient step at t=%.3e" t)
     with
     | x -> x
     | exception No_convergence _ when depth > 0 ->
@@ -1093,19 +1115,21 @@ let transient_diag ?options netlist ~stop ~step =
       let x_mid = integrate x_prev ~t_prev ~h:half ~depth:(depth - 1) in
       integrate x_mid ~t_prev:(t_prev +. half) ~h:half ~depth:(depth - 1)
   in
-  let rec advance i x_prev acc =
-    if i > n_steps then List.rev acc
-    else begin
-      let t_prev = float_of_int (i - 1) *. step in
-      let x = integrate x_prev ~t_prev ~h:step ~depth:7 in
-      let t = float_of_int i *. step in
-      advance (i + 1) x (make_solution compiled ~t x :: acc)
-    end
-  in
-  advance 1 x_dc [ make_solution compiled ~t:0.0 x_dc ], !diag
+  keep 0 x_dc;
+  let x_prev = ref x_dc in
+  for i = 1 to n_steps do
+    let t_prev = float_of_int (i - 1) *. step in
+    x_prev := integrate !x_prev ~t_prev ~h:step ~depth:7;
+    keep i !x_prev
+  done;
+  let solution i = Option.get kept.(i) in
+  ( (match samples with
+    | None -> List.init (n_steps + 1) solution
+    | Some indices -> List.map solution indices),
+    !diag )
 
-let transient ?options netlist ~stop ~step =
-  fst (transient_diag ?options netlist ~stop ~step)
+let transient ?options ?at netlist ~stop ~step =
+  fst (transient_diag ?options ?at netlist ~stop ~step)
 
 let dc_sweep ?options netlist ~source ~values =
   let options = resolve_options options in
@@ -1136,7 +1160,7 @@ let dc_sweep ?options netlist ~source ~values =
     let state = make_state compiled in
     let x =
       solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled seed
-        ~what:(Printf.sprintf "dc sweep %s=%g" source value)
+        ~what:(fun () -> Printf.sprintf "dc sweep %s=%g" source value)
     in
     make_solution compiled ~t:0.0 x, x
   in
@@ -1194,7 +1218,7 @@ let ac_sweep ?options netlist ~source ~frequencies =
   let state = make_state compiled in
   let op =
     solve_point ~state ~options ~mode:Dc_mode ~t:0.0 compiled x0
-      ~what:"ac operating point"
+      ~what:(fun () -> "ac operating point")
   in
   let n = compiled.n_unknowns in
   let re v = { Complex.re = v; im = 0.0 } in

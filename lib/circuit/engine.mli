@@ -216,16 +216,27 @@ val dc_operating_point_diag :
 val dense_jacobian :
   ?options:options -> Netlist.t -> x:float array -> float array array
 
-(** [transient ?options netlist ~stop ~step] integrates from 0 to [stop]
-    with fixed step [step] (backward Euler), returning the DC point at
-    [t = 0] followed by every accepted step in time order. *)
+(** [transient ?options ?at netlist ~stop ~step] integrates from 0 to
+    [stop] with fixed step [step] (backward Euler), returning the DC
+    point at [t = 0] followed by every accepted step in time order.
+
+    With [~at:times] it returns, in the order of [times], only the
+    solutions at those times: each time snaps to the nearest grid point
+    ([Float.round (t /. step)]), clamped to [0 .. stop]. They are the
+    very solutions the full trajectory holds at those points, bit for
+    bit; the other steps' solutions are dropped as the integration goes,
+    which keeps a long transient's memory to the points a measurement
+    reads. [~at:[]] integrates the whole grid and returns [[]]. *)
 val transient :
-  ?options:options -> Netlist.t -> stop:float -> step:float -> solution list
+  ?options:options ->
+  ?at:float list ->
+  Netlist.t -> stop:float -> step:float -> solution list
 
 (** Like {!transient}, also reporting aggregate diagnostics over every
     solved point (including halved sub-steps). *)
 val transient_diag :
   ?options:options ->
+  ?at:float list ->
   Netlist.t -> stop:float -> step:float -> solution list * diagnostics
 
 (** [dc_sweep ?options netlist ~source ~values] re-solves the operating

@@ -289,7 +289,17 @@ module Factor = struct
     | Some perm ->
       if Array.length perm <> n then
         invalid_arg "Linear.Factor.factor: permutation size mismatch";
-      let lu = Array.init n (fun i -> Array.init n (fun j -> a.(perm.(i)).(perm.(j)))) in
+      (* Loops rather than nested [Array.init]: a float-returning closure
+         boxes every element it gathers. *)
+      let lu = Array.make n [||] in
+      for i = 0 to n - 1 do
+        let src = a.(perm.(i)) in
+        let row = Array.make n 0.0 in
+        for j = 0 to n - 1 do
+          Array.unsafe_set row j (Array.unsafe_get src (Array.unsafe_get perm j))
+        done;
+        lu.(i) <- row
+      done;
       let bl, bu = band_limits lu in
       let bu_eff = min (max 0 (n - 1)) (bl + bu) in
       let piv = Array.make n 0 in
@@ -303,7 +313,10 @@ module Factor = struct
       substitute_in_place lu piv y;
       y
     | Band_lu { lu; piv; perm; bl; bu_eff } ->
-      let y = Array.init t.n (fun i -> b.(perm.(i))) in
+      let y = Array.make t.n 0.0 in
+      for i = 0 to t.n - 1 do
+        Array.unsafe_set y i (Array.unsafe_get b (Array.unsafe_get perm i))
+      done;
       substitute_banded_in_place lu piv ~bl ~bu_eff y;
       let x = Array.make t.n 0.0 in
       for i = 0 to t.n - 1 do
@@ -344,7 +357,10 @@ module Factor = struct
       invalid_arg "Linear.Factor.rank1_update: shape mismatch";
     if c = 0.0 then Some t
     else begin
-      let cu = Array.map (fun x -> c *. x) u in
+      let cu = Array.make t.n 0.0 in
+      for i = 0 to t.n - 1 do
+        Array.unsafe_set cu i (c *. Array.unsafe_get u i)
+      done;
       let w = solve_factored t cu in
       let s = dot v w in
       let denom = 1.0 +. s in

@@ -550,26 +550,60 @@ let netlist_fingerprint nl =
     :: List.map (Circuit.Netlist.node_name nl) (Circuit.Netlist.nodes nl)
     @ List.map device_part (Circuit.Netlist.devices nl))
 
-let owner_part = function
-  | Layout.Cell.Wire net -> "wire " ^ net
+(* One part per shape, spelled "%d %s (%d,%d)-(%d,%d) %s" (id, layer,
+   rectangle, owner) — the bytes every stored cache key was made from —
+   and written straight into the digest buffer without Printf: a layout
+   has thousands of shapes, and the key is computed on every cached
+   request. *)
+let add_owner b = function
+  | Layout.Cell.Wire net ->
+    Buffer.add_string b "wire ";
+    Buffer.add_string b net
   | Layout.Cell.Device_terminal { device; terminal } ->
-    Printf.sprintf "pin %s.%s" device terminal
-  | Layout.Cell.Gate { device } -> "gate " ^ device
-  | Layout.Cell.Channel { device } -> "channel " ^ device
+    Buffer.add_string b "pin ";
+    Buffer.add_string b device;
+    Buffer.add_char b '.';
+    Buffer.add_string b terminal
+  | Layout.Cell.Gate { device } ->
+    Buffer.add_string b "gate ";
+    Buffer.add_string b device
+  | Layout.Cell.Channel { device } ->
+    Buffer.add_string b "channel ";
+    Buffer.add_string b device
   | Layout.Cell.Cut { connects_up } ->
-    if connects_up then "cut up" else "cut down"
+    Buffer.add_string b (if connects_up then "cut up" else "cut down")
+
+(* [string_of_int]'s bytes without a string per number (layout
+   coordinates are non-negative; the rare negative takes the slow path). *)
+let rec add_int b i =
+  if i < 0 then Buffer.add_string b (string_of_int i)
+  else begin
+    if i >= 10 then add_int b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+let add_shape b (s : Layout.Cell.shape) =
+  let int = add_int b in
+  let r = s.Layout.Cell.rect in
+  int s.Layout.Cell.id;
+  Buffer.add_char b ' ';
+  Buffer.add_string b (Process.Layer.name s.Layout.Cell.layer);
+  Buffer.add_string b " (";
+  int r.Geometry.Rect.x0;
+  Buffer.add_char b ',';
+  int r.Geometry.Rect.y0;
+  Buffer.add_string b ")-(";
+  int r.Geometry.Rect.x1;
+  Buffer.add_char b ',';
+  int r.Geometry.Rect.y1;
+  Buffer.add_string b ") ";
+  add_owner b s.Layout.Cell.owner
 
 let cell_fingerprint cell =
-  let shape_part (s : Layout.Cell.shape) =
-    Printf.sprintf "%d %s (%d,%d)-(%d,%d) %s" s.Layout.Cell.id
-      (Process.Layer.name s.Layout.Cell.layer)
-      s.Layout.Cell.rect.Geometry.Rect.x0 s.Layout.Cell.rect.Geometry.Rect.y0
-      s.Layout.Cell.rect.Geometry.Rect.x1 s.Layout.Cell.rect.Geometry.Rect.y1
-      (owner_part s.Layout.Cell.owner)
-  in
-  Util.Cache.fingerprint
-    ("cell" :: Layout.Cell.name cell
-    :: (Array.to_list (Layout.Cell.shapes cell) |> List.map shape_part))
+  Util.Cache.fingerprint_with @@ fun part ->
+  part (fun b -> Buffer.add_string b "cell");
+  part (fun b -> Buffer.add_string b (Layout.Cell.name cell));
+  Array.iter (fun s -> part (fun b -> add_shape b s)) (Layout.Cell.shapes cell)
 
 (* --- rendered-report surface -------------------------------------------- *)
 

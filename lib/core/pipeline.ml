@@ -153,8 +153,8 @@ let injection_of config =
     config.inject_failures
 
 (* Install the config's sink only at the outermost pipeline entry: when
-   [analyze] runs inside a pool worker of [analyze_all], the ambient sink
-   is already this very sink and must not be re-installed (with_sink is
+   the caller already runs under this very sink (e.g. it calls [analyze]
+   from its own pool workers), it must not be re-installed (with_sink is
    not reentrant from worker domains). *)
 let install_sink config f =
   let sink = config.telemetry in
@@ -254,26 +254,19 @@ let store_analysis config analysis ~key =
            }))
     config.cache
 
-let analyze config (macro : Macro.Macro_cell.t) =
-  install_sink config @@ fun () ->
-  Util.Telemetry.with_span
-    ~attrs:[ "macro", Util.Telemetry.String macro.Macro.Macro_cell.name ]
-    "pipeline.macro"
-  @@ fun () ->
-  let stage_seconds = ref [] in
-  let timed stage f =
-    Util.Telemetry.with_span
-      ~attrs:[ "stage", Util.Telemetry.String stage ]
-      "pipeline.stage"
-    @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let result = f () in
-    stage_seconds := (stage, Unix.gettimeofday () -. t0) :: !stage_seconds;
-    result
-  in
-  let prng = Util.Prng.create config.seed in
-  let defect_prng = Util.Prng.split prng in
-  let good_prng = Util.Prng.split prng in
+(* Everything [analyze] learns before simulating: the nominal netlist
+   and layout (inputs of both the key and the simulation), the cache key
+   (computed once) and a decoded hit. Probing touches no pool, so
+   [analyze_all] can probe every macro at once. *)
+type probe = {
+  probed : Macro.Macro_cell.t;
+  cell : Layout.Cell.t;
+  nominal_netlist : Circuit.Netlist.t;
+  key : string option;
+  hit : macro_analysis option;
+}
+
+let probe config (macro : Macro.Macro_cell.t) =
   let cell = Lazy.force macro.Macro.Macro_cell.cell in
   let nominal_netlist =
     macro.Macro.Macro_cell.build (Process.Variation.nominal config.tech)
@@ -285,6 +278,16 @@ let analyze config (macro : Macro.Macro_cell.t) =
     | None -> None
     | Some _ -> Some (cache_key config macro ~nominal_netlist ~cell)
   in
+  let hit = Option.bind key (fun key -> cached_analysis config macro ~key) in
+  { probed = macro; cell; nominal_netlist; key; hit }
+
+(* The per-macro path after the probe: return the hit, or run every
+   stage, each of which spreads its own work over the pool. *)
+let simulate config { probed = macro; cell; nominal_netlist; key; hit } =
+  Util.Telemetry.with_span
+    ~attrs:[ "macro", Util.Telemetry.String macro.Macro.Macro_cell.name ]
+    "pipeline.macro"
+  @@ fun () ->
   let finish ~from_cache analysis =
     (if analysis.health.unresolved > 0 then
        Log.info (fun m ->
@@ -301,14 +304,26 @@ let analyze config (macro : Macro.Macro_cell.t) =
       ];
     analysis
   in
-  match
-    Option.bind key (fun key -> cached_analysis config macro ~key)
-  with
+  match hit with
   | Some analysis ->
     Log.info (fun m ->
         m "[%s] cache hit: skipping simulation" macro.Macro.Macro_cell.name);
     finish ~from_cache:true analysis
   | None ->
+  let stage_seconds = ref [] in
+  let timed stage f =
+    Util.Telemetry.with_span
+      ~attrs:[ "stage", Util.Telemetry.String stage ]
+      "pipeline.stage"
+    @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    let result = f () in
+    stage_seconds := (stage, Unix.gettimeofday () -. t0) :: !stage_seconds;
+    result
+  in
+  let prng = Util.Prng.create config.seed in
+  let defect_prng = Util.Prng.split prng in
+  let good_prng = Util.Prng.split prng in
   Log.info (fun m -> m "[%s] sprinkling %d defects" macro.Macro.Macro_cell.name config.defects);
   let defect_result =
     timed "sprinkle" (fun () ->
@@ -400,6 +415,9 @@ let analyze config (macro : Macro.Macro_cell.t) =
   Option.iter (fun (_, h) -> Checkpoint.finish h) ckpt;
   finish ~from_cache:false analysis
 
+let analyze config macro =
+  install_sink config @@ fun () -> simulate config (probe config macro)
+
 let analyze_all config macros =
   install_sink config @@ fun () ->
   Util.Telemetry.with_span
@@ -411,9 +429,13 @@ let analyze_all config macros =
   List.iter
     (fun (m : Macro.Macro_cell.t) -> ignore (Lazy.force m.Macro.Macro_cell.cell))
     macros;
-  (* The per-macro stages degrade to sequential inside pool workers, so
-     this spawns at most [Util.Pool.jobs ()] domains in total. *)
-  let analyses = Util.Pool.parallel_map (analyze config) macros in
+  (* Probes (netlist, key, cache lookup) are independent and hold no
+     pool, so they run side by side: a run served from the cache stays
+     parallel across macros. The misses then run one macro at a time, so
+     each macro's stages get every worker instead of one — the
+     comparator alone is most of a cold run. *)
+  let probes = Util.Pool.parallel_map (probe config) macros in
+  let analyses = List.map (simulate config) probes in
   (* The per-run failure budget spans all macros; the check runs on the
      merged results so it is independent of the job count. *)
   check_budget config

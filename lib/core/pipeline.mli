@@ -151,7 +151,8 @@ type macro_analysis = {
     totals (macros in list order). *)
 val run_health : macro_analysis list -> run_health
 
-(** [analyze config macro] runs the whole per-macro path. Deterministic
+(** [analyze config macro] probes the cache for [macro] and returns the
+    hit, or runs the whole per-macro path. Deterministic
     for a given [config.seed] regardless of the {!Util.Pool} job count:
     the defect draws are chunked with per-chunk PRNG streams and all
     parallel stages merge in input order.
@@ -186,13 +187,17 @@ val run_health : macro_analysis list -> run_health
     the caller to exit with a resumable status. *)
 val analyze : Config.t -> Macro.Macro_cell.t -> macro_analysis
 
-(** [analyze_all config macros] analyses independent macros concurrently
-    on the {!Util.Pool} (their layouts are forced up front; the stages
-    inside each macro then run sequentially, so the pool is never
-    oversubscribed). Same results, in the same order, as
-    [List.map (analyze config) macros]. The failure budget is re-checked
-    against the sum of unresolved classes across all macros, after the
-    ordered merge. *)
+(** [analyze_all config macros] analyses the macros in two phases. It
+    forces every layout, then probes all macros concurrently on the
+    {!Util.Pool}: nominal netlist, cache key and cache lookup, so a run
+    served from the cache stays parallel across macros. It then
+    simulates the misses one macro at a time, in list order, so each
+    macro's sprinkle chunks, good-space dies and fault classes get every
+    worker. Same results, in the same order, as
+    [List.map (analyze config) macros], and the same failure: the first
+    macro in list order that raises stops the run. The failure budget is
+    re-checked against the sum of unresolved classes across all macros,
+    after the ordered merge. *)
 val analyze_all : Config.t -> Macro.Macro_cell.t list -> macro_analysis list
 
 (** All outcomes of one severity. *)

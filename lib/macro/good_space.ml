@@ -2,8 +2,19 @@ type t = (string * Util.Stats.window) list
 
 let compile ?(n = 48) ?(k = 3.0) ?(spread = Process.Variation.default_spread)
     ~tech (macro : Macro_cell.t) prng =
+  (* The dies are drawn up front, so the windows do not depend on how
+     the pool spreads their measurement. The solver policy is
+     domain-local and does not follow the hop into a worker: resolve it
+     here and re-install it in every task. *)
   let samples = Process.Variation.monte_carlo ~n spread tech prng in
-  let vectors = List.map (fun s -> macro.Macro_cell.measure (macro.Macro_cell.build s)) samples in
+  let solver = Circuit.Engine.current_solver () in
+  let vectors =
+    Util.Pool.parallel_map
+      (fun s ->
+        Circuit.Engine.with_solver solver @@ fun () ->
+        macro.Macro_cell.measure (macro.Macro_cell.build s))
+      samples
+  in
   let names =
     List.concat_map (List.map fst) vectors |> List.sort_uniq compare
   in

@@ -11,7 +11,12 @@ type t
 (** [compile ?n ?k ?spread ~tech macro prng] measures [n] Monte-Carlo dies
     (default 48, nominal included) and windows every measurement at
     [k]·σ (default 3). Measurements missing from some vectors are
-    windowed over the vectors that do carry them. *)
+    windowed over the vectors that do carry them.
+
+    The dies are drawn from [prng] up front and measured on the
+    {!Util.Pool}, each under the caller's
+    {!Circuit.Engine.current_solver}, so the windows are identical for
+    any job count. *)
 val compile :
   ?n:int ->
   ?k:float ->

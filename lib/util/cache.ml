@@ -62,16 +62,30 @@ let create ?(capacity = 128) ~dir ~version () =
 
 let dir t = t.cache_dir
 
+(* Length-prefix every part so component boundaries cannot alias. *)
+let add_frame buf ~length =
+  Buffer.add_string buf (string_of_int length);
+  Buffer.add_char buf ':'
+
+let digest_of buf = Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let fingerprint parts =
-  (* Length-prefix every part so component boundaries cannot alias. *)
   let buf = Buffer.create 256 in
   List.iter
     (fun part ->
-      Buffer.add_string buf (string_of_int (String.length part));
-      Buffer.add_char buf ':';
+      add_frame buf ~length:(String.length part);
       Buffer.add_string buf part)
     parts;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  digest_of buf
+
+let fingerprint_with emit =
+  let buf = Buffer.create 4096 and scratch = Buffer.create 64 in
+  emit (fun write ->
+      Buffer.clear scratch;
+      write scratch;
+      add_frame buf ~length:(Buffer.length scratch);
+      Buffer.add_buffer buf scratch);
+  digest_of buf
 
 let entry_path t key = Filename.concat t.cache_dir (key ^ ".json")
 

@@ -73,6 +73,13 @@ val dir : t -> string
     boundaries cannot alias (["ab"; "c"] ≠ ["a"; "bc"]). *)
 val fingerprint : string list -> string
 
+(** [fingerprint_with emit] is {!fingerprint} of the parts [emit]
+    produces, for inputs with thousands of parts: [emit part] calls
+    [part write] once per part, in order, and [write buf] appends that
+    part's bytes to [buf]. No string is built per part, and the digest
+    equals [fingerprint] of the same parts. *)
+val fingerprint_with : (((Buffer.t -> unit) -> unit) -> unit) -> string
+
 (** [find t ~key] — the stored payload, consulting the LRU first and the
     directory second. [None] counts as a miss (and additionally as stale
     when a file was present but unusable). *)

@@ -1,11 +1,12 @@
 (** Deterministic multicore execution pool.
 
     A thin, dependency-free layer over OCaml 5 [Domain] used by the
-    embarrassingly parallel pipeline stages (defect sprinkling, fault-class
-    simulation, per-macro analysis). The contract is strict determinism:
-    every combinator returns results in input order, so a computation whose
-    per-item work is pure produces bit-identical output for any job count —
-    [jobs = 1] and [jobs = 8] must never be distinguishable from the result.
+    embarrassingly parallel pipeline stages (defect sprinkling, good-space
+    dies, fault-class simulation, per-macro cache probes). The contract is
+    strict determinism: every combinator returns results in input order,
+    so a computation whose per-item work is pure produces bit-identical
+    output for any job count — [jobs = 1] and [jobs = 8] must never be
+    distinguishable from the result.
 
     The worker count is a process-wide knob resolved in this order:
     an explicit [?jobs] argument, then {!set_jobs}, then the [DOTEST_JOBS]
@@ -16,8 +17,12 @@
 
     Nested calls never oversubscribe: a [parallel_map] issued from inside a
     pool worker degrades to a sequential map, so parallelising an outer
-    stage (e.g. per-macro analysis) automatically serialises the stages
-    nested beneath it.
+    stage automatically serialises the stages nested beneath it. Put the
+    fan-out where the work is: [Core.Pipeline.analyze_all] runs each
+    macro's stages on the calling domain, one macro at a time, so its
+    sprinkle chunks, good-space dies and fault classes each get the whole
+    pool; a caller that fans out over macros instead gives each macro a
+    single worker.
 
     {2 Cancellation}
 

@@ -536,6 +536,82 @@ let test_transient_rejects_bad_grid () =
     (Invalid_argument "Engine.transient: bad time grid") (fun () ->
       ignore (Engine.transient nl ~stop:1.0 ~step:0.0))
 
+(* [~at] must hand back the full trajectory's own solutions at the
+   snapped grid points, bit for bit: every node voltage and every voltage
+   source's current. Times snap by rounding to the step grid; a time
+   past [stop] clamps to the last point. *)
+let check_sampled_transient what nl ~stop ~step ~at =
+  let full = Array.of_list (Engine.transient nl ~stop ~step) in
+  let sampled = Engine.transient nl ~at ~stop ~step in
+  Alcotest.(check int) (what ^ ": one solution per time") (List.length at)
+    (List.length sampled);
+  let sources =
+    List.filter_map
+      (fun (d : Netlist.device_view) ->
+        match d.Netlist.kind with
+        | Netlist.Vsource _ -> Some d.Netlist.dev_name
+        | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
+        | Netlist.Mosfet _ -> None)
+      (Netlist.devices nl)
+  in
+  let bits = Int64.bits_of_float in
+  List.iter2
+    (fun t got ->
+      let index =
+        min (Array.length full - 1) (int_of_float (Float.round (t /. step)))
+      in
+      let want = full.(index) in
+      let label = Printf.sprintf "%s at t=%g" what t in
+      Alcotest.(check int64) (label ^ ": time") (bits (Engine.time want))
+        (bits (Engine.time got));
+      List.iter
+        (fun node ->
+          Alcotest.(check int64)
+            (label ^ ": v(" ^ Netlist.node_name nl node ^ ")")
+            (bits (Engine.voltage want node))
+            (bits (Engine.voltage got node)))
+        (Netlist.nodes nl);
+      List.iter
+        (fun name ->
+          Alcotest.(check int64)
+            (label ^ ": i(" ^ name ^ ")")
+            (bits (Engine.source_current want name))
+            (bits (Engine.source_current got name)))
+        sources)
+    at sampled
+
+let test_transient_sampled_rc () =
+  let nl = Netlist.create () in
+  let src = Netlist.node nl "src" in
+  let out = Netlist.node nl "out" in
+  Netlist.add_vsource nl ~name:"V1" ~pos:src ~neg:Netlist.ground
+    (Waveform.pwl [ 0.0, 0.0; 1e-9, 5.0 ]);
+  Netlist.add_resistor nl ~name:"R1" src out 1_000.0;
+  Netlist.add_capacitor nl ~name:"C1" out Netlist.ground 1e-9;
+  (* Unsorted, repeated, off-grid, t = 0 and past stop. *)
+  check_sampled_transient "rc" nl ~stop:5e-6 ~step:25e-9
+    ~at:[ 1e-6; 0.0; 2.4e-6; 1e-6; 5e-6; 9e-6; 12e-9; 13e-9 ]
+
+let test_transient_sampled_comparator () =
+  let nl =
+    Adc.Comparator.bench_netlist Adc.Comparator.default_options
+      (Process.Variation.nominal Process.Tech.cmos1um)
+  in
+  let stop = 2.0 *. Adc.Params.period in
+  check_sampled_transient "comparator" nl ~stop ~step:Adc.Params.sim_step
+    ~at:
+      [
+        Adc.Params.mid_sample; Adc.Params.mid_amplify; Adc.Params.mid_latch;
+        Adc.Params.decision_time; stop +. Adc.Params.phase;
+      ]
+
+let test_transient_sampled_empty () =
+  let nl = Netlist.create () in
+  let a = Netlist.node nl "a" in
+  Netlist.add_vsource nl ~name:"V1" ~pos:a ~neg:Netlist.ground (Waveform.dc 1.0);
+  Alcotest.(check int) "no times, no solutions" 0
+    (List.length (Engine.transient nl ~at:[] ~stop:1e-6 ~step:1e-8))
+
 (* ------------------------------------------------------------------ *)
 (* Engine: solver policies                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1041,6 +1117,12 @@ let suites =
         Alcotest.test_case "inverter switches" `Quick test_transient_inverter_switches;
         Alcotest.test_case "inverter IDDQ tiny" `Quick test_transient_supply_current_inverter;
         Alcotest.test_case "rejects bad grid" `Quick test_transient_rejects_bad_grid;
+        Alcotest.test_case "sampled equals full (rc)" `Quick
+          test_transient_sampled_rc;
+        Alcotest.test_case "sampled equals full (comparator)" `Quick
+          test_transient_sampled_comparator;
+        Alcotest.test_case "sampled with no times" `Quick
+          test_transient_sampled_empty;
       ] );
     ( "circuit.engine.solver",
       [

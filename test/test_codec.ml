@@ -305,6 +305,18 @@ let test_version_stamp_shape () =
   Alcotest.(check bool) "version is non-empty" true
     (String.length Core.Codec.version > 0)
 
+let test_cell_fingerprint_golden () =
+  (* Cache keys include the layout fingerprint, so its bytes are part of
+     every stored entry's address: a change here silently turns every
+     warm cache cold. Pinned on the comparator's 633 shapes. *)
+  let cell =
+    Lazy.force
+      (Adc.Comparator.macro Adc.Comparator.default_options).Macro.Macro_cell.cell
+  in
+  Alcotest.(check int) "shapes" 633 (Array.length (Layout.Cell.shapes cell));
+  Alcotest.(check string) "comparator layout fingerprint"
+    "bf8bd03103068c36c88c83ac625fc79f" (Core.Codec.cell_fingerprint cell)
+
 let suites =
   [
     ( "core.codec",
@@ -315,5 +327,7 @@ let suites =
           Alcotest.test_case "mechanism encoding injective" `Quick
             test_mechanism_encoding_injective;
           Alcotest.test_case "version stamp" `Quick test_version_stamp_shape;
+          Alcotest.test_case "cell fingerprint golden" `Quick
+            test_cell_fingerprint_golden;
         ] );
   ]

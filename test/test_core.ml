@@ -584,13 +584,117 @@ let test_cache_analyze_all_warm () =
   Alcotest.(check int) "no warm misses" 0 warm_stats.Util.Cache.misses;
   Alcotest.(check string) "byte-identical global output" cold warm
 
-(* --- run survival: deadlines, checkpoint/resume, shutdown -------------- *)
+(* The global tables the CLI prints, rendered for byte comparison. *)
+let render_global analyses =
+  let g = Core.Global.combine analyses in
+  String.concat ""
+    (List.map Util.Table.render
+       [
+         Core.Report.figure4 g;
+         Core.Report.macro_current g;
+         Core.Report.summary g;
+         Core.Report.run_health (Core.Pipeline.run_health analyses);
+         Core.Report.coverage_bounds g;
+       ])
 
-(* A shutdown raised inside a worker domain may surface wrapped in
-   [Pool.Worker_failure]; unwrap before matching. *)
-let rec survival_root_cause = function
-  | Util.Pool.Worker_failure (_, cause) -> survival_root_cause cause
+let with_jobs jobs f =
+  let saved = Util.Pool.jobs () in
+  Util.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Util.Pool.set_jobs saved) f
+
+let test_cache_analyze_all_partial () =
+  (* Hits and misses in one run: the probes run side by side, the misses
+     one macro at a time, and the merge must still render the cold run's
+     bytes, at any job count. *)
+  let macros = Dft.Measures.original () in
+  let cold =
+    with_jobs 1 (fun () ->
+        render_global (Core.Pipeline.analyze_all telemetry_config macros))
+  in
+  List.iter
+    (fun jobs ->
+      with_cache_dir @@ fun dir ->
+      let cached = [ List.nth macros 1; List.nth macros 3 ] in
+      let seed = Util.Cache.create ~dir ~version:Core.Codec.version () in
+      List.iter
+        (fun macro ->
+          ignore
+            (Core.Pipeline.analyze
+               (Core.Pipeline.Config.with_cache_handle (Some seed)
+                  telemetry_config)
+               macro))
+        cached;
+      let cache = Util.Cache.create ~dir ~version:Core.Codec.version () in
+      let analyses =
+        with_jobs jobs (fun () ->
+            Core.Pipeline.analyze_all
+              (Core.Pipeline.Config.with_cache_handle (Some cache)
+                 telemetry_config)
+              macros)
+      in
+      let stats = Util.Cache.stats cache in
+      Alcotest.(check int)
+        (Printf.sprintf "two hits (jobs=%d)" jobs)
+        2 stats.Util.Cache.hits;
+      Alcotest.(check int)
+        (Printf.sprintf "three misses (jobs=%d)" jobs)
+        3 stats.Util.Cache.misses;
+      Alcotest.(check (list bool))
+        (Printf.sprintf "stage timings only on misses (jobs=%d)" jobs)
+        [ true; false; true; false; true ]
+        (List.map
+           (fun a -> a.Core.Pipeline.health.Core.Pipeline.stage_seconds <> [])
+           analyses);
+      Alcotest.(check string)
+        (Printf.sprintf "cold tables (jobs=%d)" jobs)
+        cold (render_global analyses))
+    [ 1; 4 ]
+
+(* The CLI and the service both report the innermost cause under any
+   number of [Worker_failure] wrappers; a shutdown raised inside a worker
+   domain surfaces wrapped the same way. *)
+let rec root_cause = function
+  | Util.Pool.Worker_failure (_, e) -> root_cause e
   | e -> e
+
+let analyze_all_failure config jobs =
+  match
+    with_jobs jobs (fun () ->
+        Core.Pipeline.analyze_all config (Dft.Measures.original ()))
+  with
+  | _ -> Alcotest.failf "jobs=%d: the run must fail" jobs
+  | exception e -> root_cause e
+
+let test_analyze_all_failure_root_cause () =
+  let strict =
+    Core.Pipeline.Config.(
+      telemetry_config |> with_inject_failures (Some 0.2) |> with_strict true)
+  in
+  (match analyze_all_failure strict 1, analyze_all_failure strict 4 with
+  | (Macro.Evaluate.Simulation_failed _ as one),
+    (Macro.Evaluate.Simulation_failed _ as four) ->
+    Alcotest.(check string) "strict: same cause at jobs 1 and 4"
+      (Printexc.to_string one) (Printexc.to_string four)
+  | one, four ->
+    Alcotest.failf "strict: expected Simulation_failed, got %s / %s"
+      (Printexc.to_string one) (Printexc.to_string four));
+  let budget =
+    Core.Pipeline.Config.(
+      telemetry_config
+      |> with_inject_failures (Some 0.2)
+      |> with_failure_budget (Some 0))
+  in
+  match analyze_all_failure budget 1, analyze_all_failure budget 4 with
+  | Util.Resilience.Budget_exhausted one, Util.Resilience.Budget_exhausted four
+    ->
+    Alcotest.(check int) "budget: limit echoed" 0 one.limit;
+    Alcotest.(check int) "budget: same failures at jobs 1 and 4"
+      one.failures four.failures
+  | one, four ->
+    Alcotest.failf "budget: expected Budget_exhausted, got %s / %s"
+      (Printexc.to_string one) (Printexc.to_string four)
+
+(* --- run survival: deadlines, checkpoint/resume, shutdown -------------- *)
 
 let analyze_survival ~dir ~jobs ~checkpoint config =
   let saved = Util.Pool.jobs () in
@@ -623,7 +727,7 @@ let test_checkpoint_kill_and_resume () =
       (match analyze_survival ~dir ~jobs ~checkpoint:interrupted config with
       | _ -> Alcotest.fail "interrupted run must not complete"
       | exception e -> (
-        match survival_root_cause e with
+        match root_cause e with
         | Util.Watchdog.Interrupted _ -> ()
         | other -> raise other));
       let s = Core.Checkpoint.stats interrupted in
@@ -865,6 +969,8 @@ let suites =
         Alcotest.test_case "clean bounds collapse" `Slow test_pipeline_clean_bounds_collapse;
         Alcotest.test_case "strict fails fast" `Slow test_pipeline_strict_fails_fast;
         Alcotest.test_case "failure budget" `Slow test_pipeline_failure_budget;
+        Alcotest.test_case "analyze_all failures keep their cause" `Slow
+          test_analyze_all_failure_root_cause;
         Alcotest.test_case "run health renders" `Slow test_run_health_report_renders;
       ] );
     ( "core.global",
@@ -893,6 +999,8 @@ let suites =
         Alcotest.test_case "warm run re-checks budget" `Slow
           test_cache_warm_run_recheck_budget;
         Alcotest.test_case "analyze_all warm" `Slow test_cache_analyze_all_warm;
+        Alcotest.test_case "analyze_all partly warm (jobs 1 and 4)" `Slow
+          test_cache_analyze_all_partial;
       ] );
     ( "core.survival",
       [

@@ -114,6 +114,52 @@ let test_good_space_sigma_scales () =
   in
   Alcotest.(check bool) "wider k, wider window" true (width wide > width narrow)
 
+let with_jobs jobs f =
+  let saved = Util.Pool.jobs () in
+  Util.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Util.Pool.set_jobs saved) f
+
+let test_good_space_jobs_invariant () =
+  (* The dies are drawn before the fan-out, so the windows — floats
+     compared exactly — cannot depend on the job count. *)
+  List.iter
+    (fun (n, macro) ->
+      let compile jobs =
+        with_jobs jobs (fun () ->
+            Macro.Good_space.windows
+              (Macro.Good_space.compile ~n ~tech macro (Util.Prng.create 5)))
+      in
+      let sequential = compile 1 in
+      Alcotest.(check bool)
+        (macro.Macro.Macro_cell.name ^ ": has windows") true (sequential <> []);
+      Alcotest.(check bool)
+        (macro.Macro.Macro_cell.name ^ ": jobs 1 = jobs 4") true
+        (sequential = compile 4))
+    [ 24, toy_macro (); 6, Adc.Clock_gen.macro () ]
+
+let test_good_space_keeps_solver () =
+  (* The policy is domain-local: a die task that lost the caller's
+     [Oracle] would fall back to [Auto] and take rank-1 updates. *)
+  let rank1_solves solver =
+    let memory = Util.Telemetry.in_memory () in
+    with_jobs 4 (fun () ->
+        Util.Telemetry.with_sink (Util.Telemetry.memory_sink memory)
+        @@ fun () ->
+        Circuit.Engine.with_solver solver @@ fun () ->
+        ignore
+          (Macro.Good_space.compile ~n:6 ~tech (Adc.Clock_gen.macro ())
+             (Util.Prng.create 5));
+        Util.Telemetry.flush_local ());
+    let counters =
+      (Util.Telemetry.metrics memory).Util.Telemetry.Metrics.counters
+    in
+    Option.value ~default:0 (List.assoc_opt "engine.rank1_solves" counters)
+  in
+  Alcotest.(check bool) "auto dies take rank-1 updates" true
+    (rank1_solves Circuit.Engine.Auto > 0);
+  Alcotest.(check int) "oracle dies take none" 0
+    (rank1_solves Circuit.Engine.Oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Evaluate                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -349,6 +395,9 @@ let suites =
         Alcotest.test_case "deviating currents" `Quick test_good_space_deviating_currents;
         Alcotest.test_case "widen" `Quick test_good_space_widen;
         Alcotest.test_case "sigma scales window" `Quick test_good_space_sigma_scales;
+        Alcotest.test_case "jobs invariant" `Quick test_good_space_jobs_invariant;
+        Alcotest.test_case "dies keep the solver policy" `Quick
+          test_good_space_keeps_solver;
       ] );
     ( "macro.evaluate",
       [

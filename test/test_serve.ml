@@ -433,6 +433,24 @@ let test_submit_coalesces_and_sheds () =
     Alcotest.(check int) "one completed" 1 s.Service.completed
   | _ -> Alcotest.fail "leader or twin did not complete"
 
+let test_submit_strict_global_failure () =
+  (* A strict failure inside the global run's per-macro schedule reaches
+     the reply as its root cause, however many pool maps wrapped it. *)
+  let service = Service.create () in
+  let strict =
+    Request.(
+      default |> with_defects 400 |> with_good_space_dies 4
+      |> with_inject_failures (Some 0.2) |> with_strict true)
+  in
+  match Service.submit service strict with
+  | Ok _ -> Alcotest.fail "a strict injected run must fail"
+  | Error e ->
+    Alcotest.(check string) "code" "simulation_failed"
+      (Request.error_code_name e.Request.code);
+    Alcotest.(check bool) "message names the failed class" true
+      (String.starts_with ~prefix:"Evaluate.Simulation_failed: fault class"
+         e.Request.message)
+
 let test_handle_line_matches_submit () =
   (* The wire entry point returns the same reply as a direct submit,
      modulo the execution-dependent counters. *)
@@ -481,5 +499,7 @@ let suites =
           test_submit_coalesces_and_sheds;
         Alcotest.test_case "wire equals direct submit" `Slow
           test_handle_line_matches_submit;
+        Alcotest.test_case "strict global failure keeps its cause" `Slow
+          test_submit_strict_global_failure;
       ] );
   ]

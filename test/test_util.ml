@@ -786,6 +786,18 @@ let test_cache_fingerprint_boundaries () =
         ((ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f')))
     (Cache.fingerprint [ "x" ])
 
+let test_cache_fingerprint_with () =
+  (* Streaming the parts must digest the very bytes the list form does,
+     including empty parts and a part longer than the scratch buffer. *)
+  List.iter
+    (fun parts ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d parts" (List.length parts))
+        (Cache.fingerprint parts)
+        (Cache.fingerprint_with (fun part ->
+             List.iter (fun p -> part (fun b -> Buffer.add_string b p)) parts)))
+    [ []; [ "" ]; [ "ab"; "c" ]; [ "a"; ""; String.make 5000 'x'; "tail" ] ]
+
 let test_cache_telemetry_counters () =
   with_cache_dir @@ fun dir ->
   let memory = Telemetry.in_memory () in
@@ -1115,6 +1127,8 @@ let suites =
           test_cache_lru_eviction_counted;
         Alcotest.test_case "fingerprint boundaries" `Quick
           test_cache_fingerprint_boundaries;
+        Alcotest.test_case "fingerprint_with equals fingerprint" `Quick
+          test_cache_fingerprint_with;
         Alcotest.test_case "telemetry counters" `Quick
           test_cache_telemetry_counters;
         Alcotest.test_case "write failure degrades" `Quick
