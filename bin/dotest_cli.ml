@@ -37,16 +37,29 @@ let jobs =
           "Worker domains for the parallel pipeline stages (default: cores \
            minus one, at least 1). Results are identical for any value.")
 
+(* Analysis sizes are range-checked here so an out-of-range value is a
+   usage error naming its flag, not an exception deep in the pipeline. *)
+let int_in ?hi lo =
+  let parse s =
+    match int_of_string_opt s, hi with
+    | Some n, None when n >= lo -> Ok n
+    | Some n, Some hi when n >= lo && n <= hi -> Ok n
+    | _, None -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s lo))
+    | _, Some hi ->
+      Error (`Msg (Printf.sprintf "%S is not an integer in %d..%d" s lo hi))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let defects =
   Arg.(
     value
-    & opt int defaults.Core.Pipeline.Config.defects
+    & opt (int_in 1) defaults.Core.Pipeline.Config.defects
     & info [ "defects" ] ~docv:"N" ~doc:"Spot defects sprinkled per macro.")
 
 let dies =
   Arg.(
     value
-    & opt int defaults.Core.Pipeline.Config.good_space_dies
+    & opt (int_in 1) defaults.Core.Pipeline.Config.good_space_dies
     & info [ "dies" ] ~docv:"N"
         ~doc:"Monte-Carlo dies compiled into the good-signature space.")
 
@@ -404,7 +417,7 @@ let scaled_cmd =
   in
   let bits =
     Arg.(
-      value & opt int 7
+      value & opt (int_in 2 ~hi:14) 7
       & info [ "bits" ] ~docv:"B"
           ~doc:
             "Converter resolution: the analog core has $(b,2^B) ladder \

@@ -18,5 +18,4 @@ val taps : int
 val segment_resistance : float
 
 val layout_netlist : unit -> Circuit.Netlist.t
-val bench_netlist : Process.Variation.sample -> Circuit.Netlist.t
 val macro : unit -> Macro.Macro_cell.t

@@ -67,11 +67,6 @@ let solver_name = function
   | Auto -> "auto"
   | Oracle -> "oracle"
 
-let solver_of_string = function
-  | "auto" -> Some Auto
-  | "oracle" -> Some Oracle
-  | _ -> None
-
 let all_solvers = [ Auto; Oracle ]
 let default_solver = Auto
 

@@ -95,7 +95,6 @@ val default_solver : solver
 (** [Auto]. *)
 
 val solver_name : solver -> string
-val solver_of_string : string -> solver option
 
 val all_solvers : solver list
 (** In CLI-enumeration order: auto, oracle. *)

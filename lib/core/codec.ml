@@ -609,35 +609,6 @@ let cell_fingerprint cell =
 
 let table_to_json = Util.Table.to_json
 
-let metrics_to_json (m : Util.Telemetry.Metrics.t) =
-  J.Obj
-    [
-      ( "counters",
-        J.Obj
-          (List.map
-             (fun (name, total) -> name, J.Int total)
-             m.Util.Telemetry.Metrics.counters) );
-      ( "gauges",
-        J.Obj
-          (List.map
-             (fun (name, value) -> name, J.Float value)
-             m.Util.Telemetry.Metrics.gauges) );
-    ]
-
-let cache_stats_to_json ~state (s : Util.Cache.stats) =
-  J.Obj
-    [
-      ( "state",
-        J.String
-          (match state with `Cold -> "cold" | `Warm -> "warm" | `Off -> "off")
-      );
-      "hits", J.Int s.Util.Cache.hits;
-      "misses", J.Int s.Util.Cache.misses;
-      "stale", J.Int s.Util.Cache.stale;
-      "evictions", J.Int s.Util.Cache.evictions;
-      "write_errors", J.Int s.Util.Cache.write_errors;
-    ]
-
 (* --- the request/response wire format ------------------------------------ *)
 
 (* Version of the wire protocol, independent of the cache codec version:
@@ -763,7 +734,7 @@ let request_of_json json =
     in
     let* solver = opt "solver" solver_of_json d.Request.solver in
     let* format = opt "format" format_of_json d.Request.format in
-    if defects < 0 then Error "defects must be non-negative"
+    if defects < 1 then Error "defects must be positive"
     else if good_space_dies < 1 then Error "good_space_dies must be positive"
     else
       Ok

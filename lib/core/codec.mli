@@ -3,9 +3,9 @@
     Everything the library persists or emits as JSON goes through this
     module, so the schema of each value is defined in exactly one place:
     the result cache stores per-macro analyses with {!analysis_to_json},
-    {!Report.render}'s [`Json] format and the bench harness's [--json]
-    mode render through {!table_to_json} / {!metrics_to_json} /
-    {!cache_stats_to_json}.
+    {!Report.render}'s [`Json] format renders through {!table_to_json},
+    and the service's wire format is {!request_to_json} /
+    {!response_to_json} and their decoders.
 
     Encoders are total. Decoders are total in the other direction: any
     JSON value yields [Ok] or a descriptive [Error], never an exception —
@@ -132,8 +132,8 @@ val api_version : string
 val request_to_json : Request.t -> Util.Json.t
 
 (** Rejects a missing or non-matching ["api"] stamp; validates field
-    shapes and basic ranges (non-negative defect count, positive die
-    count). [request_of_json (request_to_json r) = Ok r]. *)
+    shapes and basic ranges (positive defect and die counts).
+    [request_of_json (request_to_json r) = Ok r]. *)
 val request_of_json : Request.t decoder
 
 val response_to_json : Request.response -> Util.Json.t
@@ -150,11 +150,3 @@ val limits_of_json : Util.Watchdog.limits decoder
 (** [table_to_json t] — array of row objects keyed by column title (the
     [`Json] report format). *)
 val table_to_json : Util.Table.t -> Util.Json.t
-
-(** [metrics_to_json m] — [{counters: {...}, gauges: {...}}]. *)
-val metrics_to_json : Util.Telemetry.Metrics.t -> Util.Json.t
-
-(** [cache_stats_to_json ~state s] — the five counters plus
-    ["state": "cold"|"warm"|"off"]. *)
-val cache_stats_to_json :
-  state:[ `Cold | `Warm | `Off ] -> Util.Cache.stats -> Util.Json.t

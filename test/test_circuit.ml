@@ -616,22 +616,6 @@ let test_transient_sampled_empty () =
 (* Engine: solver policies                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_solver_names_roundtrip () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Engine.solver_name s ^ " round-trips")
-        true
-        (Engine.solver_of_string (Engine.solver_name s) = Some s))
-    Engine.all_solvers;
-  Alcotest.(check bool) "unknown rejected" true
-    (Engine.solver_of_string "cholesky" = None);
-  List.iter
-    (fun retired ->
-      Alcotest.(check bool) (retired ^ " rejected") true
-        (Engine.solver_of_string retired = None))
-    [ "dense"; "rank1" ]
-
 let test_with_solver_scoped () =
   Alcotest.(check bool) "default in effect" true
     (Engine.current_solver () = Engine.default_solver);
@@ -1126,7 +1110,6 @@ let suites =
       ] );
     ( "circuit.engine.solver",
       [
-        Alcotest.test_case "names round-trip" `Quick test_solver_names_roundtrip;
         Alcotest.test_case "with_solver scoped" `Quick test_with_solver_scoped;
         Alcotest.test_case "backends agree" `Quick test_solver_backends_agree;
         Alcotest.test_case "KCL residual of converged points" `Quick test_dc_kcl_residual;

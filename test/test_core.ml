@@ -925,6 +925,54 @@ let test_dft_improves_coverage () =
     true
     (after > before)
 
+(* Headline numbers of the reproduction at [small_config]: Fig. 4 and
+   Fig. 5 coverage, the IDDQ-only share and the current-only share. A
+   change that moves any of them must show up here, not only in
+   EXPERIMENTS.md. *)
+let test_global_headline_golden () =
+  let original, improved = Lazy.force global_pair in
+  let check name expected table =
+    Alcotest.(check string) name expected (Util.Table.render table)
+  in
+  check "Fig. 4 (original)"
+    "+------------------+--------------+-------+--------------+------------+----------+\n\
+     | fault set        | voltage only |  both | current only | undetected | coverage |\n\
+     +------------------+--------------+-------+--------------+------------+----------+\n\
+     | catastrophic     |        12.3% | 52.1% |        28.7% |       6.9% |    93.1% |\n\
+     | non-catastrophic |        12.5% | 39.0% |        41.4% |       7.1% |    92.9% |\n\
+     +------------------+--------------+-------+--------------+------------+----------+"
+    (Core.Report.figure4 original);
+  check "Fig. 5 (DfT)"
+    "+------------------+--------------+-------+--------------+------------+----------+\n\
+     | fault set        | voltage only |  both | current only | undetected | coverage |\n\
+     +------------------+--------------+-------+--------------+------------+----------+\n\
+     | catastrophic     |        17.5% | 47.2% |        30.1% |       5.2% |    94.8% |\n\
+     | non-catastrophic |        17.4% | 32.8% |        44.6% |       5.3% |    94.7% |\n\
+     +------------------+--------------+-------+--------------+------------+----------+"
+    (Core.Report.figure4 improved);
+  check "summary (original)"
+    "+-----------------------------+---------+\n\
+     | metric                      |   value |\n\
+     +-----------------------------+---------+\n\
+     | coverage (catastrophic)     |   93.1% |\n\
+     | coverage (non-catastrophic) |   92.9% |\n\
+     | IDDQ-only share             |    3.4% |\n\
+     | current-only share          |   28.7% |\n\
+     | simple-test time            | 1200 us |\n\
+     +-----------------------------+---------+"
+    (Core.Report.summary original);
+  check "summary (DfT)"
+    "+-----------------------------+---------+\n\
+     | metric                      |   value |\n\
+     +-----------------------------+---------+\n\
+     | coverage (catastrophic)     |   94.8% |\n\
+     | coverage (non-catastrophic) |   94.7% |\n\
+     | IDDQ-only share             |    4.0% |\n\
+     | current-only share          |   30.1% |\n\
+     | simple-test time            | 1200 us |\n\
+     +-----------------------------+---------+"
+    (Core.Report.summary improved)
+
 let test_reports_render () =
   let a = Lazy.force comparator_analysis in
   let original, _ = Lazy.force global_pair in
@@ -979,6 +1027,8 @@ let suites =
         Alcotest.test_case "partition normalized" `Slow test_global_partition_normalized;
         Alcotest.test_case "coverage sane" `Slow test_global_coverage_sane;
         Alcotest.test_case "DfT improves coverage" `Slow test_dft_improves_coverage;
+        Alcotest.test_case "headline tables golden" `Slow
+          test_global_headline_golden;
       ] );
     ( "core.telemetry",
       [

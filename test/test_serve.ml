@@ -71,7 +71,7 @@ let gen_request =
         format;
       })
     (triple
-       (tup5 id target (int_range 0 1_000_000) (int_range 1 10_000)
+       (tup5 id target (int_range 1 1_000_000) (int_range 1 10_000)
           (float_range 0.1 10.0))
        (tup5 (int_range 0 1_000_000) (int_range 0 9) bool
           (option (float_range 0.0 1.0))
@@ -198,9 +198,24 @@ let test_handle_line_errors () =
   Alcotest.(check string) "unknown target" "bad_request"
     (Request.error_code_name
        (code "{\"api\":\"dotest-api/1\",\"target\":\"adder\"}"));
-  Alcotest.(check string) "negative defects" "bad_request"
-    (Request.error_code_name
-       (code "{\"api\":\"dotest-api/1\",\"target\":\"global\",\"defects\":-1}"));
+  (* Zero defects would otherwise reach the sprinkler and come back as
+     an internal error. *)
+  List.iter
+    (fun defects ->
+      match
+        decode_response
+          (Service.handle_line service
+             (Printf.sprintf
+                "{\"api\":\"dotest-api/1\",\"target\":\"global\",\"defects\":%d}"
+                defects))
+      with
+      | Ok _ -> Alcotest.failf "defects %d must be rejected" defects
+      | Error e ->
+        Alcotest.(check string) (Printf.sprintf "defects %d" defects)
+          "bad_request" (Request.error_code_name e.Request.code);
+        Alcotest.(check bool) "message names the range" true
+          (contains e.Request.message "defects must be positive"))
+    [ 0; -1 ];
   (* The json bomb from the depth-limit satellite, arriving as a wire
      line: still just a bad_request. *)
   Alcotest.(check string) "nesting bomb" "bad_request"
